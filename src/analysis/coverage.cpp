@@ -44,21 +44,27 @@ void classify_batch(const sim::BatchResult& batch, const std::vector<char>& reco
   }
 }
 
+/// The empty result both drivers fill, after rejecting an empty protocol list.
+CoverageResult make_result(std::size_t scenarios,
+                           const std::vector<NamedFactory>& protocols) {
+  if (protocols.empty()) {
+    throw std::invalid_argument("run_coverage_experiment: no protocols given");
+  }
+  CoverageResult result;
+  result.scenarios = scenarios;
+  for (const auto& p : protocols) {
+    result.protocols.push_back(ProtocolCoverage{p.name, 0, 0, 0});
+  }
+  return result;
+}
+
 }  // namespace
 
 CoverageResult run_coverage_experiment(const graph::Graph& g,
                                        std::span<const graph::EdgeSet> scenarios,
                                        const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_coverage_experiment: no protocols given");
-  }
+  CoverageResult result = make_result(scenarios.size(), protocols);
   const route::RoutingDb pristine(g);
-
-  CoverageResult result;
-  result.scenarios = scenarios.size();
-  for (const auto& p : protocols) {
-    result.protocols.push_back(ProtocolCoverage{p.name, 0, 0, 0});
-  }
 
   // Reused across scenarios and protocols: once warm, a sweep allocates
   // nothing per trial, and reconverging protocols borrow delta-repaired
@@ -88,20 +94,20 @@ CoverageResult run_coverage_experiment(const graph::Graph& g,
                                        std::span<const graph::EdgeSet> scenarios,
                                        const std::vector<NamedFactory>& protocols,
                                        sim::SweepExecutor& executor) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_coverage_experiment: no protocols given");
-  }
+  CoverageResult result = make_result(scenarios.size(), protocols);
   const route::RoutingDb pristine(g);
 
-  // One accumulator row per scenario, written by exactly one worker each.
-  std::vector<std::vector<ProtocolCoverage>> partials(
-      scenarios.size(), std::vector<ProtocolCoverage>(protocols.size()));
-
-  executor.run(scenarios.size(), [&](std::size_t unit, sim::WorkerContext& ctx) {
+  // A slot ring of the executor's reorder window: one scenario's per-protocol
+  // counts, merged by the ordered reduce in canonical scenario order.
+  const std::size_t window = executor.default_ordered_window();
+  std::vector<std::vector<ProtocolCoverage>> slots(window);
+  const auto unit_fn = [&](std::size_t unit, sim::WorkerContext& ctx) {
     const graph::EdgeSet& failures = scenarios[unit];
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
 
+    std::vector<ProtocolCoverage>& slot = slots[unit % window];
+    slot.assign(protocols.size(), ProtocolCoverage{});
     collect_classified_flows(g, pristine, failures, ctx.flows, ctx.flags);
     if (ctx.flows.empty()) return;
 
@@ -109,20 +115,15 @@ CoverageResult run_coverage_experiment(const graph::Graph& g,
       const auto instance = make_protocol(protocols[i], network, ctx.routes);
       sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats,
                        ctx.batch);
-      classify_batch(ctx.batch, ctx.flags, partials[unit][i]);
+      classify_batch(ctx.batch, ctx.flags, slot[i]);
     }
-  });
-
-  CoverageResult result;
-  result.scenarios = scenarios.size();
-  for (const auto& p : protocols) {
-    result.protocols.push_back(ProtocolCoverage{p.name, 0, 0, 0});
-  }
-  for (const auto& shard : partials) {  // canonical scenario order
+  };
+  const auto reduce_fn = [&](std::size_t unit) {
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      result.protocols[i].merge(shard[i]);
+      result.protocols[i].merge(slots[unit % window][i]);
     }
-  }
+  };
+  executor.run_ordered(scenarios.size(), unit_fn, reduce_fn);
   return result;
 }
 

@@ -45,8 +45,8 @@ struct ProtocolCoverage {
   }
 
   /// Accumulates another shard's counts (same protocol); counters are
-  /// order-insensitive, but parallel sweeps still merge in canonical shard
-  /// order to honour the executor's determinism contract.
+  /// order-insensitive, but parallel sweeps still merge in canonical order
+  /// (the executor's ordered reduce) to honour its determinism contract.
   void merge(const ProtocolCoverage& other) noexcept {
     delivered += other.delivered;
     dropped_reachable += other.dropped_reachable;
@@ -68,9 +68,9 @@ struct CoverageResult {
     const std::vector<NamedFactory>& protocols);
 
 /// Parallel sharded variant: scenarios are work units on `executor`, each
-/// classified with the worker's reusable batch buffers; per-shard
-/// ProtocolCoverage accumulators merge in canonical scenario order.  Counts
-/// are identical to the serial overload for every thread count.
+/// classified with the worker's reusable batch buffers into a ring slot whose
+/// ProtocolCoverage counts the ordered reduce merges in canonical scenario
+/// order.  Counts are identical to the serial overload for every thread count.
 [[nodiscard]] CoverageResult run_coverage_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor);

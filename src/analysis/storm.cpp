@@ -15,103 +15,14 @@ namespace pr::analysis {
 
 namespace {
 
-/// One (scenario, protocol) cell of a storm sweep: the congestion metrics row
-/// plus the storm-specific extras (worst stretch, re-routed flow count).
-struct CellOutcome {
-  traffic::CongestionMetrics metrics;
-  double max_stretch = 1.0;
-  std::size_t rerouted = 0;
-};
-
-/// The incremental cell core, SRLG-grained: probe the per-group incidence for
-/// the flows this scenario's groups touch (the same set a per-edge probe of
-/// the failure union finds), re-route only those with full traces, then
-/// replay every flow in canonical flow order -- cached pristine rows for the
-/// untouched majority, fresh paths for the rest.  Identical floating-point
-/// sequence to analysis/traffic.hpp's incremental cell, with one extra
-/// output: the worst path-cost stretch among delivered affected flows.
-CellOutcome evaluate_storm_cell(
-    const graph::Graph& g, const net::Network& network,
-    std::span<const std::uint32_t> component, const NamedFactory& factory,
-    route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
-    const traffic::GroupIncidence& incidence, std::span<const std::size_t> groups,
-    std::span<const double> pristine_costs, std::span<const sim::FlowSpec> flows,
-    std::span<const double> demands, double offered_pps,
-    const traffic::CapacityPlan& plan, sim::BatchResult& batch,
-    traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
-  incidence.affected_flows(groups, scratch.affected_mark, scratch.affected);
-
-  batch.clear();
-  if (!scratch.affected.empty()) {
-    scratch.flows.clear();
-    for (const std::uint32_t f : scratch.affected) scratch.flows.push_back(flows[f]);
-    const auto instance = make_protocol(factory, network, cache);
-    sim::route_batch(network, *instance, scratch.flows, sim::TraceMode::kFullTrace,
-                     batch);
+void validate_storm_inputs(const graph::Graph& g, const traffic::TrafficMatrix& demand,
+                           const traffic::CapacityPlan& plan, const net::StormModel& model,
+                           const std::vector<NamedFactory>& protocols,
+                           const std::vector<double>& quantiles) {
+  validate_sweep_inputs("storm sweep", g, demand, plan, protocols);
+  if (&model.catalog().graph() != &g) {
+    throw std::invalid_argument("storm sweep: storm model is over a different graph");
   }
-
-  load.reset(g.dart_count());
-  CellOutcome out;
-  out.rerouted = scratch.affected.size();
-  traffic::CongestionMetrics& m = out.metrics;
-  m.offered_pps = offered_pps;
-  std::size_t a = 0;  // cursor into the re-routed batch
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const double rate = demands[f];
-    bool delivered;
-    if (scratch.affected_mark[f] != 0) {
-      for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
-      delivered = batch[a].delivered();
-      if (delivered && pristine_costs[f] > 0.0) {
-        out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
-      }
-      ++a;
-    } else {
-      for (const graph::DartId d : index.flow_darts(f)) load.add(d, rate);
-      delivered = index.pristine_delivered(f);
-    }
-    if (delivered) {
-      m.delivered_pps += rate;
-    } else if (component[flows[f].source] == component[flows[f].destination]) {
-      m.lost_pps += rate;
-    } else {
-      m.stranded_pps += rate;
-    }
-  }
-  traffic::apply_utilization(m, g, load, plan);
-  return out;
-}
-
-/// Shared pristine-pass products every storm driver needs per protocol: the
-/// flow incidence index, its SRLG-grained group view, and the per-flow
-/// pristine path costs the stretch metric divides by.
-struct ProtocolIndex {
-  traffic::FlowIncidenceIndex flows;
-  traffic::GroupIncidence groups;
-  std::vector<double> pristine_costs;
-};
-
-std::vector<ProtocolIndex> build_storm_indexes(
-    const graph::Graph& g, const net::SrlgCatalog& catalog,
-    const std::vector<NamedFactory>& protocols, std::span<const sim::FlowSpec> flows,
-    std::span<const double> demands, route::ScenarioRoutingCache& cache) {
-  std::vector<ProtocolIndex> indexes(protocols.size());
-  const net::Network pristine(g);
-  sim::BatchResult batch;
-  for (std::size_t i = 0; i < protocols.size(); ++i) {
-    const auto instance = make_protocol(protocols[i], pristine, cache);
-    indexes[i].flows.build(pristine, *instance, flows, demands);
-    indexes[i].groups.build(indexes[i].flows, catalog);
-    sim::route_batch(pristine, *instance, flows, sim::TraceMode::kStats, batch);
-    indexes[i].pristine_costs.resize(flows.size());
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      indexes[i].pristine_costs[f] = batch[f].cost;
-    }
-  }
-  return indexes;
-}
-
-void validate_quantiles(const std::vector<double>& quantiles) {
   if (quantiles.empty()) {
     throw std::invalid_argument("storm sweep: at least one quantile required");
   }
@@ -119,23 +30,6 @@ void validate_quantiles(const std::vector<double>& quantiles) {
     if (!(q > 0.0 && q < 1.0)) {
       throw std::invalid_argument("storm sweep: quantiles must lie in (0, 1)");
     }
-  }
-}
-
-void validate_inputs(const graph::Graph& g, const traffic::TrafficMatrix& demand,
-                     const traffic::CapacityPlan& plan, const net::StormModel& model,
-                     const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("storm sweep: no protocols given");
-  }
-  if (demand.node_count() != g.node_count()) {
-    throw std::invalid_argument("storm sweep: demand matrix does not cover the graph");
-  }
-  if (plan.edge_count() != g.edge_count()) {
-    throw std::invalid_argument("storm sweep: capacity plan does not cover the graph");
-  }
-  if (&model.catalog().graph() != &g) {
-    throw std::invalid_argument("storm sweep: storm model is over a different graph");
   }
 }
 
@@ -398,8 +292,7 @@ StormRunResult run_storm_experiment_resilient(
     const traffic::CapacityPlan& plan, const net::StormModel& model,
     const std::vector<NamedFactory>& protocols, const StormSweepConfig& config,
     sim::SweepExecutor& executor, const StormRunOptions& options) {
-  validate_inputs(g, demand, plan, model, protocols);
-  validate_quantiles(config.quantiles);
+  validate_storm_inputs(g, demand, plan, model, protocols, config.quantiles);
   if (config.scenarios == 0) {
     throw std::invalid_argument("run_storm_experiment: scenarios must be > 0");
   }
@@ -413,14 +306,12 @@ StormRunResult run_storm_experiment_resilient(
 
   std::vector<sim::FlowSpec> flows;
   std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  double offered = 0.0;
-  for (const double d : demands) offered += d;
+  const double offered = collect_demand_flows(demand, flows, demands);
 
   // Pristine-pass products, built once and shared read-only by all workers.
   route::ScenarioRoutingCache pristine_cache;
-  const std::vector<ProtocolIndex> indexes =
-      build_storm_indexes(g, model.catalog(), protocols, flows, demands, pristine_cache);
+  const std::vector<PristinePass> passes = build_pristine_passes(
+      g, protocols, flows, demands, pristine_cache, &model.catalog());
 
   // Calm scenarios (no failed group) are the common case under realistic
   // outage probabilities; their cell is the pristine cell, computed once here
@@ -433,10 +324,11 @@ StormRunResult run_storm_experiment_resilient(
     traffic::LoadMap load;
     traffic::IncidenceScratch scratch;
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      pristine_cells[i] = evaluate_storm_cell(
-          g, pristine, pristine_component, protocols[i], pristine_cache,
-          indexes[i].flows, indexes[i].groups, {}, indexes[i].pristine_costs, flows,
-          demands, offered, plan, batch, load, scratch);
+      passes[i].groups.affected_flows({}, scratch.affected_mark, scratch.affected);
+      pristine_cells[i] = evaluate_cell(g, pristine, pristine_component, protocols[i],
+                                        pristine_cache, passes[i].flows, passes[i].costs,
+                                        flows, demands, offered, plan, batch, load,
+                                        scratch);
     }
   }
 
@@ -461,8 +353,12 @@ StormRunResult run_storm_experiment_resilient(
   }
   const std::size_t offset = state.completed;
   const std::size_t remaining = config.scenarios - offset;
-  const sim::FaultPlan* faults =
-      options.control == nullptr ? nullptr : options.control->fault_plan();
+  // An uncontrolled run goes under a default control and rethrows a failed
+  // scenario through the executor's one rethrow path.
+  const sim::RunControl uncontrolled;
+  const sim::RunControl& control =
+      options.control != nullptr ? *options.control : uncontrolled;
+  const sim::FaultPlan* faults = control.fault_plan();
   const std::size_t group_count = model.catalog().group_count();
 
   // Flat-memory plumbing: a slot ring of the executor's reorder window, one
@@ -487,9 +383,6 @@ StormRunResult run_storm_experiment_resilient(
   for (std::size_t w = 0; w < executor.thread_count(); ++w) networks.emplace_back(g);
 
   StormExperimentResult& result = state.result;
-  std::vector<P2QuantileSet>& utilization_q = state.utilization_q;
-  std::vector<P2QuantileSet>& stretch_q = state.stretch_q;
-  std::vector<TopK<StormScenarioRecord>>& worst = state.worst;
 
   const sim::SweepExecutor::UnitFn unit_fn = [&](std::size_t unit,
                                                  sim::WorkerContext& ctx) {
@@ -523,9 +416,7 @@ StormRunResult run_storm_experiment_resilient(
     slot.disconnected = false;
     slot.cells.resize(protocols.size());
     if (slot.calm) {
-      for (std::size_t i = 0; i < protocols.size(); ++i) {
-        slot.cells[i] = pristine_cells[i];
-      }
+      slot.cells = pristine_cells;
       return;
     }
 
@@ -534,12 +425,15 @@ StormRunResult run_storm_experiment_resilient(
     }
     slot.disconnected =
         graph::connected_components_into(g, &ws.sample.failures, ws.components) > 1;
+    // The per-group probe finds the same flows a per-edge probe of the
+    // failure union would, without walking every member edge.
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      slot.cells[i] = evaluate_storm_cell(
-          g, network, ws.components.component, protocols[i], ctx.routes,
-          indexes[i].flows, indexes[i].groups, slot.groups,
-          indexes[i].pristine_costs, flows, demands, offered, plan, ctx.batch,
-          ctx.load, ctx.incidence);
+      passes[i].groups.affected_flows(slot.groups, ctx.incidence.affected_mark,
+                                      ctx.incidence.affected);
+      slot.cells[i] = evaluate_cell(g, network, ws.components.component, protocols[i],
+                                    ctx.routes, passes[i].flows, passes[i].costs, flows,
+                                    demands, offered, plan, ctx.batch, ctx.load,
+                                    ctx.incidence);
     }
     for (const graph::EdgeId e : ws.sample.failures.elements()) {
       network.restore_link(e);
@@ -558,8 +452,8 @@ StormRunResult run_storm_experiment_resilient(
       StormProtocolResult& p = result.protocols[i];
       p.utilization.add(m.max_utilization);
       p.stretch.add(cell.max_stretch);
-      utilization_q[i].add(m.max_utilization);
-      stretch_q[i].add(cell.max_stretch);
+      state.utilization_q[i].add(m.max_utilization);
+      state.stretch_q[i].add(cell.max_stretch);
       p.delivered_pps += m.delivered_pps;
       p.lost_pps += m.lost_pps;
       p.stranded_pps += m.stranded_pps;
@@ -567,26 +461,19 @@ StormRunResult run_storm_experiment_resilient(
       if (m.overloaded_links > 0) ++p.overloaded_scenarios;
       if (m.lost_pps > 0.0) ++p.lossy_scenarios;
       p.rerouted_flows += cell.rerouted;
-      worst[i].add(m.max_utilization, scenario,
-                   StormScenarioRecord{m.max_utilization, cell.max_stretch,
-                                       m.lost_pps, m.stranded_pps, slot.groups,
-                                       slot.failed_edges});
+      state.worst[i].add(m.max_utilization, scenario,
+                         StormScenarioRecord{m.max_utilization, cell.max_stretch,
+                                             m.lost_pps, m.stranded_pps, slot.groups,
+                                             slot.failed_edges});
     }
   };
 
-  if (remaining == 0) {
-    run.outcome.stop_reason = sim::StopReason::kCompleted;
-  } else if (options.control == nullptr) {
-    // Uncontrolled: the legacy run_ordered, with its rethrow-on-error
-    // semantics (SweepUnitError) preserved exactly.
-    executor.run_ordered(remaining, unit_fn, reduce_fn, config.seed);
-    run.outcome.completed_units = remaining;
-  } else if (options.persist_checkpoint && options.checkpoint_cadence.any()) {
-    // Periodic durability: the monitor thread seals the reducers at its
-    // watermark k (under the executor's reduce lock, so the blob is exactly
-    // the prefix [0, k)) and hands the ABSOLUTE cursor offset + k to the
-    // caller's persist hook off-lock.
-    sim::AutoCheckpoint auto_ckpt;
+  // Periodic durability: the monitor thread seals the reducers at its
+  // watermark k (under the executor's reduce lock, so the blob is exactly the
+  // prefix [0, k)) and hands the ABSOLUTE cursor offset + k to the caller's
+  // persist hook off-lock.  Without a hook the checkpoint is inactive.
+  sim::AutoCheckpoint auto_ckpt;
+  if (options.persist_checkpoint) {
     auto_ckpt.cadence = options.checkpoint_cadence;
     auto_ckpt.serialize = [&](std::size_t k) {
       return serialize_storm_state(state, offset + k, config, protocols,
@@ -595,20 +482,19 @@ StormRunResult run_storm_experiment_resilient(
     auto_ckpt.persist = [&](std::size_t k, std::string&& blob) {
       options.persist_checkpoint(offset + k, std::move(blob));
     };
-    run.outcome = executor.run_ordered(remaining, unit_fn, reduce_fn,
-                                       *options.control, auto_ckpt, config.seed);
-  } else {
-    run.outcome = executor.run_ordered(remaining, unit_fn, reduce_fn,
-                                       *options.control, config.seed);
   }
+  run.outcome = executor.run(
+      remaining, unit_fn, control,
+      {.seed = config.seed, .reduce = reduce_fn, .checkpoint = &auto_ckpt});
+  if (options.control == nullptr) sim::throw_if_failed(run.outcome);
   state.completed = offset + run.outcome.completed_units;
   run.completed_scenarios = state.completed;
 
   result.scenarios = state.completed;
   for (std::size_t i = 0; i < protocols.size(); ++i) {
-    result.protocols[i].utilization_quantiles = utilization_q[i].estimates();
-    result.protocols[i].stretch_quantiles = stretch_q[i].estimates();
-    result.protocols[i].worst = worst[i].sorted();
+    result.protocols[i].utilization_quantiles = state.utilization_q[i].estimates();
+    result.protocols[i].stretch_quantiles = state.stretch_q[i].estimates();
+    result.protocols[i].worst = state.worst[i].sorted();
   }
 
   // Always emit a checkpoint at the new cursor; a serialization failure is
@@ -642,18 +528,15 @@ StormOracleResult run_exhaustive_storm(const graph::Graph& g,
                                        const net::IndependentOutages& model,
                                        const std::vector<NamedFactory>& protocols,
                                        const std::vector<double>& quantiles) {
-  validate_inputs(g, demand, plan, model, protocols);
-  validate_quantiles(quantiles);
+  validate_storm_inputs(g, demand, plan, model, protocols, quantiles);
 
   std::vector<sim::FlowSpec> flows;
   std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  double offered = 0.0;
-  for (const double d : demands) offered += d;
+  const double offered = collect_demand_flows(demand, flows, demands);
 
   route::ScenarioRoutingCache cache;
-  const std::vector<ProtocolIndex> indexes =
-      build_storm_indexes(g, model.catalog(), protocols, flows, demands, cache);
+  const std::vector<PristinePass> passes =
+      build_pristine_passes(g, protocols, flows, demands, cache, &model.catalog());
 
   const std::vector<net::WeightedScenario> enumeration =
       net::enumerate_outage_scenarios(model);
@@ -688,10 +571,11 @@ StormOracleResult run_exhaustive_storm(const graph::Graph& g,
     graph::connected_components_into(g, &failures, components);
 
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      const CellOutcome cell = evaluate_storm_cell(
-          g, network, components.component, protocols[i], cache, indexes[i].flows,
-          indexes[i].groups, scenario.groups, indexes[i].pristine_costs, flows,
-          demands, offered, plan, batch, load, scratch);
+      passes[i].groups.affected_flows(scenario.groups, scratch.affected_mark,
+                                      scratch.affected);
+      const CellOutcome cell = evaluate_cell(
+          g, network, components.component, protocols[i], cache, passes[i].flows,
+          passes[i].costs, flows, demands, offered, plan, batch, load, scratch);
       StormOracleProtocol& p = result.protocols[i];
       const double w = scenario.probability;
       p.mean_max_utilization += w * cell.metrics.max_utilization;

@@ -5,14 +5,15 @@
 // scenario -- right for hundreds of enumerated failure sets, fatal for the
 // sampled storms a net::StormModel can produce forever.  This driver streams
 // instead: scenarios are drawn on the fly from per-unit split-seed RNG
-// streams, each is priced with the incremental LoadMap core (pristine replay
-// + affected-flow re-route, probed through the SRLG-grained
-// traffic::GroupIncidence), and everything folds into O(1) reducer state --
-// P^2 quantile markers, running sums, a bounded top-K worst-scenario heap --
-// through SweepExecutor::run_ordered, whose canonical-order reduce hook makes
-// every reducer bit-identical at any thread count.  A 10^6-scenario sweep
-// holds one slot ring of executor window size, per-worker scratch, and the
-// reducers; nothing grows with the scenario count.
+// streams, each is probed through the SRLG-grained traffic::GroupIncidence
+// and priced by the traffic driver's incremental cell (analysis::evaluate_cell,
+// with max-stretch tracking switched on by the pristine costs), and
+// everything folds into O(1) reducer state -- P^2 quantile markers, running
+// sums, a bounded top-K worst-scenario heap -- through the executor's
+// ordered reduce, whose canonical order makes every reducer bit-identical at
+// any thread count.  A 10^6-scenario sweep holds one slot ring of executor
+// window size, per-worker scratch, and the reducers; nothing grows with the
+// scenario count.
 //
 // Sampled estimates are validated against run_exhaustive_storm(), which
 // enumerates all 2^G group subsets of an IndependentOutages model with their
@@ -22,15 +23,15 @@
 // bit-identity -- bit-identity holds across thread counts of one sampled
 // sweep, convergence across estimators).
 //
-// Resilience (PR 8): run_storm_experiment_resilient runs the same sweep
-// under a sim::RunControl -- deadline, cancel, scenario budget, fault plan --
-// and instead of all-or-nothing returns the canonical prefix it completed
-// plus a versioned checkpoint blob.  Feeding that blob back via
-// StormRunOptions::resume_from continues the sweep in a later call (or a
-// later process) to results BIT-IDENTICAL to an uninterrupted run: the
-// executor's deterministic truncation contract means the interrupted state
-// is a clean prefix [0, k), split-seed RNG streams are stateless per
-// scenario, and every reducer serializes its exact state
+// Resilience: run_storm_experiment_resilient runs the same sweep under a
+// sim::RunControl -- deadline, cancel, scenario budget, fault plan -- through
+// the executor's one controlled entry point, and instead of all-or-nothing
+// returns the canonical prefix it completed plus a versioned checkpoint blob.
+// Feeding that blob back via StormRunOptions::resume_from continues the sweep
+// in a later call (or a later process) to results BIT-IDENTICAL to an
+// uninterrupted run: the executor's deterministic truncation contract means
+// the interrupted state is a clean prefix [0, k), split-seed RNG streams are
+// stateless per scenario, and every reducer serializes its exact state
 // (analysis/checkpoint.hpp).
 #pragma once
 
@@ -121,7 +122,7 @@ struct StormExperimentResult {
 
 /// Samples config.scenarios scenarios from `model`, prices each against
 /// `plan` under every protocol, and streams everything into the result's
-/// reducers via run_ordered.  Scenario i is drawn from RNG stream
+/// reducers via the ordered reduce.  Scenario i is drawn from RNG stream
 /// split_seed(config.seed, i), evaluated incrementally (pristine replay +
 /// GroupIncidence-probed re-route), and reduced in canonical order: the
 /// result is bit-identical for every executor thread count.  Memory is flat
@@ -137,8 +138,8 @@ struct StormExperimentResult {
 /// Knobs for a resilient storm run.
 struct StormRunOptions {
   /// Stop signals + error policy + fault plan for the sweep; nullptr runs
-  /// uncontrolled (to completion, worker exceptions rethrown as
-  /// sim::SweepUnitError like run_storm_experiment).
+  /// uncontrolled (to completion, a failed scenario rethrown through
+  /// sim::throw_if_failed like run_storm_experiment).
   const sim::RunControl* control = nullptr;
   /// A checkpoint blob from a previous StormRunResult to resume from; empty
   /// starts fresh.  The blob must match this experiment exactly (same seed,
@@ -219,8 +220,8 @@ struct StormOracleResult {
 /// The exhaustive oracle: enumerates every group subset of `model` with its
 /// exact probability and computes exact weighted means, quantiles and
 /// volume expectations per protocol.  Gated to <= 20 groups (the
-/// enumeration's own limit).  Each subset is evaluated by the same cell core
-/// the sampled sweep uses, so sampled estimates converge to these values.
+/// enumeration's own limit).  Each subset is evaluated by the same cell the
+/// sampled sweep uses, so sampled estimates converge to these values.
 [[nodiscard]] StormOracleResult run_exhaustive_storm(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, const net::IndependentOutages& model,

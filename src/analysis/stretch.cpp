@@ -80,20 +80,26 @@ void collect_affected_flows(const graph::Graph& g, const route::RoutingDb& prist
   }
 }
 
+/// The empty result both drivers fill, after rejecting an empty protocol list.
+StretchExperimentResult make_result(std::size_t scenarios,
+                                    const std::vector<NamedFactory>& protocols) {
+  if (protocols.empty()) {
+    throw std::invalid_argument("run_stretch_experiment: no protocols given");
+  }
+  StretchExperimentResult result;
+  result.scenarios = scenarios;
+  result.protocols.reserve(protocols.size());
+  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
+  return result;
+}
+
 }  // namespace
 
 StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_stretch_experiment: no protocols given");
-  }
+  StretchExperimentResult result = make_result(scenarios.size(), protocols);
   const route::RoutingDb pristine(g);
-
-  StretchExperimentResult result;
-  result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
-  result.scenarios = scenarios.size();
 
   // Reused across scenarios and protocols: once warm, a sweep allocates
   // nothing per trial (the point of the stats-only batched engine), and
@@ -135,75 +141,59 @@ StretchExperimentResult run_stretch_experiment(
 StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_stretch_experiment: no protocols given");
-  }
+  StretchExperimentResult result = make_result(scenarios.size(), protocols);
   const route::RoutingDb pristine(g);
 
-  // One slot per scenario, written by exactly one worker each; stretch
-  // samples land here in the serial sweep's per-scenario order.
-  struct ScenarioPartial {
+  // A slot ring of the executor's reorder window: one scenario's affected
+  // count and per-protocol samples, held from its unit function until its
+  // reduce appends them in canonical scenario order -- the serial sweep's
+  // sample sequence exactly.
+  struct Slot {
     std::size_t affected = 0;
     std::vector<std::size_t> delivered;          // per protocol
     std::vector<std::vector<double>> stretches;  // per protocol, in flow order
   };
-  std::vector<ScenarioPartial> partials(scenarios.size());
-
-  executor.run(scenarios.size(), [&](std::size_t unit, sim::WorkerContext& ctx) {
+  const std::size_t window = executor.default_ordered_window();
+  std::vector<Slot> slots(window);
+  const auto unit_fn = [&](std::size_t unit, sim::WorkerContext& ctx) {
     const graph::EdgeSet& failures = scenarios[unit];
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
 
     collect_affected_flows(g, pristine, failures, ctx.flows, ctx.base_costs);
-    ScenarioPartial& partial = partials[unit];
-    partial.affected = ctx.flows.size();
-    partial.delivered.assign(protocols.size(), 0);
-    partial.stretches.resize(protocols.size());
-    if (ctx.flows.empty()) return;
-
+    Slot& slot = slots[unit % window];
+    slot.affected = ctx.flows.size();
+    slot.delivered.assign(protocols.size(), 0);
+    slot.stretches.resize(protocols.size());
     for (std::size_t i = 0; i < protocols.size(); ++i) {
+      auto& samples = slot.stretches[i];
+      samples.clear();
+      if (ctx.flows.empty()) continue;
       const auto instance = make_protocol(protocols[i], network, ctx.routes);
       sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats,
                        ctx.batch);
-      auto& samples = partial.stretches[i];
-      samples.reserve(ctx.batch.size());
       for (std::size_t f = 0; f < ctx.batch.size(); ++f) {
         if (ctx.batch[f].delivered()) {
-          ++partial.delivered[i];
+          ++slot.delivered[i];
           samples.push_back(ctx.batch[f].cost / ctx.base_costs[f]);
         } else {
           samples.push_back(std::numeric_limits<double>::infinity());
         }
       }
     }
-  });
-
-  // Canonical-order merge: concatenating per-scenario samples in scenario
-  // order reproduces the serial sweep's sample sequence exactly.
-  StretchExperimentResult result;
-  result.scenarios = scenarios.size();
-  result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
-  for (std::size_t i = 0; i < protocols.size(); ++i) {
-    std::size_t samples = 0;
-    for (const ScenarioPartial& partial : partials) {
-      if (i < partial.stretches.size()) samples += partial.stretches[i].size();
-    }
-    result.protocols[i].stretches.reserve(samples);
-  }
-  for (ScenarioPartial& partial : partials) {
-    result.affected_pairs += partial.affected;
-    for (std::size_t i = 0; i < partial.stretches.size(); ++i) {
+  };
+  const auto reduce_fn = [&](std::size_t unit) {
+    const Slot& slot = slots[unit % window];
+    result.affected_pairs += slot.affected;
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
       auto& agg = result.protocols[i];
-      agg.delivered += partial.delivered[i];
-      agg.dropped += partial.stretches[i].size() - partial.delivered[i];
-      agg.stretches.insert(agg.stretches.end(), partial.stretches[i].begin(),
-                           partial.stretches[i].end());
-      // Release each shard as it merges so peak memory tracks the serial
-      // sweep instead of holding a second full copy of the sample set.
-      std::vector<double>().swap(partial.stretches[i]);
+      agg.delivered += slot.delivered[i];
+      agg.dropped += slot.stretches[i].size() - slot.delivered[i];
+      agg.stretches.insert(agg.stretches.end(), slot.stretches[i].begin(),
+                           slot.stretches[i].end());
     }
-  }
+  };
+  executor.run_ordered(scenarios.size(), unit_fn, reduce_fn);
   return result;
 }
 

@@ -91,9 +91,10 @@ struct StretchExperimentResult {
     const std::vector<NamedFactory>& protocols);
 
 /// Parallel sharded variant: scenarios are work units on `executor`, each
-/// routed with the worker's reusable batch buffers and merged in canonical
-/// scenario order.  Results (counts, stretch samples and their order) are
-/// bit-identical to the serial overload for every thread count.
+/// routed with the worker's reusable batch buffers into a ring slot that the
+/// ordered reduce appends in canonical scenario order.  Results (counts,
+/// stretch samples and their order) are bit-identical to the serial overload
+/// for every thread count.
 [[nodiscard]] StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor);

@@ -1,5 +1,6 @@
 #include "analysis/traffic.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -11,77 +12,68 @@ namespace pr::analysis {
 
 using graph::NodeId;
 
-void collect_demand_flows(const traffic::TrafficMatrix& demand,
-                          std::vector<sim::FlowSpec>& flows,
-                          std::vector<double>& demands) {
+double collect_demand_flows(const traffic::TrafficMatrix& demand,
+                            std::vector<sim::FlowSpec>& flows,
+                            std::vector<double>& demands) {
   flows.clear();
   demands.clear();
+  double offered = 0.0;
   const std::size_t n = demand.node_count();
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId t = 0; t < n; ++t) {
       if (s == t || demand.demand(s, t) == 0.0) continue;
       flows.push_back(sim::FlowSpec{s, t});
       demands.push_back(demand.demand(s, t));
+      offered += demands.back();
     }
+  }
+  return offered;
+}
+
+void validate_sweep_inputs(const char* driver, const graph::Graph& g,
+                           const traffic::TrafficMatrix& demand,
+                           const traffic::CapacityPlan& plan,
+                           const std::vector<NamedFactory>& protocols) {
+  const std::string who(driver);
+  if (protocols.empty()) {
+    throw std::invalid_argument(who + ": no protocols given");
+  }
+  if (demand.node_count() != g.node_count()) {
+    throw std::invalid_argument(who + ": demand matrix does not cover the graph");
+  }
+  if (plan.edge_count() != g.edge_count()) {
+    throw std::invalid_argument(who + ": capacity plan does not cover the graph");
   }
 }
 
-namespace {
-
-/// Routes one (scenario, protocol) cell: demand-weighted batch into `load`,
-/// then the full metrics row.  `component` holds the scenario's residual
-/// component ids (graph minus failures) and splits dropped demand into lost
-/// (path existed) vs stranded (partitioned) -- deliberately independent of
-/// the routing cache, whose table storage the protocol instance may be
-/// borrowing.
-traffic::CongestionMetrics route_cell(const graph::Graph& g,
-                                      const net::Network& network,
-                                      std::span<const std::uint32_t> component,
-                                      const NamedFactory& factory,
-                                      route::ScenarioRoutingCache& cache,
-                                      std::span<const sim::FlowSpec> flows,
-                                      std::span<const double> demands,
-                                      double offered_pps,
-                                      const traffic::CapacityPlan& plan,
-                                      sim::BatchResult& batch,
-                                      traffic::LoadMap& load) {
-  const auto instance = make_protocol(factory, network, cache);
-  sim::route_batch(network, *instance, flows, demands, load,
-                   sim::TraceMode::kStats, batch);
-
-  traffic::CongestionMetrics m;
-  m.offered_pps = offered_pps;
-  traffic::apply_utilization(m, g, load, plan);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (batch[f].delivered()) {
-      m.delivered_pps += demands[f];
-    } else if (component[flows[f].source] == component[flows[f].destination]) {
-      m.lost_pps += demands[f];
-    } else {
-      m.stranded_pps += demands[f];
-    }
+std::vector<PristinePass> build_pristine_passes(
+    const graph::Graph& g, const std::vector<NamedFactory>& protocols,
+    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
+    route::ScenarioRoutingCache& cache, const net::SrlgCatalog* catalog) {
+  std::vector<PristinePass> passes(protocols.size());
+  const net::Network pristine(g);
+  sim::BatchResult batch;
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    PristinePass& pass = passes[i];
+    const auto instance = make_protocol(protocols[i], pristine, cache);
+    pass.flows.build(pristine, *instance, flows, demands);
+    if (catalog == nullptr) continue;
+    pass.groups.build(pass.flows, *catalog);
+    sim::route_batch(pristine, *instance, flows, sim::TraceMode::kStats, batch);
+    pass.costs.resize(flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f) pass.costs[f] = batch[f].cost;
   }
-  return m;
+  return passes;
 }
 
-/// The incremental counterpart: probe the pristine incidence index for the
-/// flows this scenario's failures actually touch, re-route ONLY those (full
-/// trace, so their fresh dart paths are known), then rebuild the scenario's
-/// LoadMap by replaying every flow in canonical flow order -- cached pristine
-/// rows for the untouched majority, the freshly routed paths for the rest.
-/// The replay performs the exact floating-point additions (same values, same
-/// order, per dart and per volume counter) that route_cell's full re-route
-/// performs, so the metrics row and load map are bit-identical to it.
-traffic::CongestionMetrics route_cell_incremental(
+CellOutcome evaluate_cell(
     const graph::Graph& g, const net::Network& network,
     std::span<const std::uint32_t> component, const NamedFactory& factory,
     route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
-    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
-    double offered_pps, const traffic::CapacityPlan& plan, sim::BatchResult& batch,
+    std::span<const double> pristine_costs, std::span<const sim::FlowSpec> flows,
+    std::span<const double> demands, double offered_pps,
+    const traffic::CapacityPlan& plan, sim::BatchResult& batch,
     traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
-  index.affected_flows(network.failed_links(), scratch.affected_mark,
-                       scratch.affected);
-
   // Re-route the affected flows in canonical flow order.  When the scenario
   // touches no pristine path there is nothing to re-route: the protocol
   // instance (and any routing-table repair it would trigger) is skipped
@@ -95,8 +87,14 @@ traffic::CongestionMetrics route_cell_incremental(
                      batch);
   }
 
+  // The replay performs the exact floating-point additions (same values,
+  // same order, per dart and per volume counter) that a full re-route of
+  // every flow performs, so the metrics row and load map are bit-identical
+  // to the kFullReroute oracle.
   load.reset(g.dart_count());
-  traffic::CongestionMetrics m;
+  CellOutcome out;
+  out.rerouted = scratch.affected.size();
+  traffic::CongestionMetrics& m = out.metrics;
   m.offered_pps = offered_pps;
   std::size_t a = 0;  // cursor into the re-routed batch
   for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -105,6 +103,9 @@ traffic::CongestionMetrics route_cell_incremental(
     if (scratch.affected_mark[f] != 0) {
       for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
       delivered = batch[a].delivered();
+      if (!pristine_costs.empty() && delivered && pristine_costs[f] > 0.0) {
+        out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
+      }
       ++a;
     } else {
       for (const graph::DartId d : index.flow_darts(f)) load.add(d, rate);
@@ -119,89 +120,129 @@ traffic::CongestionMetrics route_cell_incremental(
     }
   }
   traffic::apply_utilization(m, g, load, plan);
-  return m;
+  return out;
 }
 
+namespace {
+
+/// The kFullReroute oracle's cell: routes every flow, demand-weighted, into
+/// `load`, then the full metrics row.  `component` holds the scenario's
+/// residual component ids (graph minus failures) and splits dropped demand
+/// into lost (path existed) vs stranded (partitioned) -- deliberately
+/// independent of the routing cache, whose table storage the protocol
+/// instance may be borrowing.
+CellOutcome route_cell(const graph::Graph& g, const net::Network& network,
+                       std::span<const std::uint32_t> component,
+                       const NamedFactory& factory, route::ScenarioRoutingCache& cache,
+                       std::span<const sim::FlowSpec> flows,
+                       std::span<const double> demands, double offered_pps,
+                       const traffic::CapacityPlan& plan, sim::BatchResult& batch,
+                       traffic::LoadMap& load) {
+  const auto instance = make_protocol(factory, network, cache);
+  sim::route_batch(network, *instance, flows, demands, load, sim::TraceMode::kStats,
+                   batch);
+
+  CellOutcome out;
+  out.rerouted = flows.size();
+  traffic::CongestionMetrics& m = out.metrics;
+  m.offered_pps = offered_pps;
+  traffic::apply_utilization(m, g, load, plan);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    if (batch[f].delivered()) {
+      m.delivered_pps += demands[f];
+    } else if (component[flows[f].source] == component[flows[f].destination]) {
+      m.lost_pps += demands[f];
+    } else {
+      m.stranded_pps += demands[f];
+    }
+  }
+  return out;
+}
+
+/// A traffic sweep's shared inputs -- the demand work-list, its offered
+/// volume and, in incremental mode, the pristine passes -- plus the pricing
+/// of one (scenario, protocol) cell, used alike by the serial driver and the
+/// executor's unit function.
+struct TrafficSweep {
+  const graph::Graph& g;
+  const traffic::CapacityPlan& plan;
+  const std::vector<NamedFactory>& protocols;
+  TrafficSweepMode mode;
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  double offered = 0.0;
+  std::vector<PristinePass> pristine;
+
+  /// Validates the inputs and runs the pristine passes through `cache`.
+  TrafficSweep(const graph::Graph& graph, const traffic::TrafficMatrix& demand,
+               const traffic::CapacityPlan& capacity,
+               const std::vector<NamedFactory>& factories, TrafficSweepMode sweep_mode,
+               route::ScenarioRoutingCache& cache)
+      : g(graph), plan(capacity), protocols(factories), mode(sweep_mode) {
+    validate_sweep_inputs("run_traffic_experiment", g, demand, plan, protocols);
+    offered = collect_demand_flows(demand, flows, demands);
+    if (mode == TrafficSweepMode::kIncremental) {
+      pristine = build_pristine_passes(g, protocols, flows, demands, cache);
+    }
+  }
+
+  /// Prices protocol `i` under the scenario installed in `network` into
+  /// `load`.  Incremental mode probes the flow incidence index per failed
+  /// edge, and Debug builds re-price the cell through the full oracle and
+  /// demand bit-identity -- the enforcement teeth of the failure-local
+  /// protocol contract documented in traffic/incidence.hpp.
+  CellOutcome price(std::size_t i, const net::Network& network,
+                    std::span<const std::uint32_t> component,
+                    route::ScenarioRoutingCache& cache, sim::BatchResult& batch,
+                    traffic::LoadMap& load, traffic::IncidenceScratch& scratch) const {
+    if (mode == TrafficSweepMode::kFullReroute) {
+      return route_cell(g, network, component, protocols[i], cache, flows, demands,
+                        offered, plan, batch, load);
+    }
+    pristine[i].flows.affected_flows(network.failed_links(), scratch.affected_mark,
+                                     scratch.affected);
+    CellOutcome cell = evaluate_cell(g, network, component, protocols[i], cache,
+                                     pristine[i].flows, {}, flows, demands, offered,
+                                     plan, batch, load, scratch);
 #ifndef NDEBUG
-/// Debug builds re-price every incremental cell through the full oracle and
-/// demand bit-identity -- the enforcement teeth of the failure-local protocol
-/// contract documented in traffic/incidence.hpp.
-void cross_check_incremental_cell(
-    const graph::Graph& g, const net::Network& network,
-    std::span<const std::uint32_t> component, const NamedFactory& factory,
-    route::ScenarioRoutingCache& cache, std::span<const sim::FlowSpec> flows,
-    std::span<const double> demands, double offered_pps,
-    const traffic::CapacityPlan& plan, const traffic::CongestionMetrics& metrics,
-    const traffic::LoadMap& load) {
-  sim::BatchResult oracle_batch;
-  traffic::LoadMap oracle_load;
-  const traffic::CongestionMetrics oracle =
-      route_cell(g, network, component, factory, cache, flows, demands,
-                 offered_pps, plan, oracle_batch, oracle_load);
-  const traffic::LoadMapDiff d = traffic::diff(load, oracle_load);
-  if (!(metrics == oracle) || !d.identical()) {
-    throw std::logic_error(
-        "run_traffic_experiment: incremental cell diverged from the full "
-        "re-route oracle (protocol '" +
-        factory.name + "', " + std::to_string(d.differing) +
-        " darts differ, max |delta| " + std::to_string(d.max_abs_delta) + ")");
-  }
-}
+    sim::BatchResult oracle_batch;
+    traffic::LoadMap oracle_load;
+    const CellOutcome oracle = route_cell(g, network, component, protocols[i], cache,
+                                          flows, demands, offered, plan, oracle_batch,
+                                          oracle_load);
+    const traffic::LoadMapDiff d = traffic::diff(load, oracle_load);
+    if (!(cell.metrics == oracle.metrics) || !d.identical()) {
+      throw std::logic_error(
+          "run_traffic_experiment: incremental cell diverged from the full "
+          "re-route oracle (protocol '" +
+          protocols[i].name + "', " + std::to_string(d.differing) +
+          " darts differ, max |delta| " + std::to_string(d.max_abs_delta) + ")");
+    }
 #endif
+    return cell;
+  }
 
-/// One pristine routing pass per protocol over the sweep's exact work-list.
-/// `cache` warms with the pristine tables, which every scenario repair then
-/// starts from.
-std::vector<traffic::FlowIncidenceIndex> build_indexes(
-    const graph::Graph& g, const std::vector<NamedFactory>& protocols,
-    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
-    route::ScenarioRoutingCache& cache) {
-  std::vector<traffic::FlowIncidenceIndex> indexes(protocols.size());
-  const net::Network pristine(g);
-  for (std::size_t i = 0; i < protocols.size(); ++i) {
-    const auto instance = make_protocol(protocols[i], pristine, cache);
-    indexes[i].build(pristine, *instance, flows, demands);
+  [[nodiscard]] TrafficExperimentResult make_result(std::size_t scenarios) const {
+    TrafficExperimentResult result;
+    result.scenarios = scenarios;
+    result.flows_per_scenario = flows.size();
+    result.mode = mode;
+    result.protocols.reserve(protocols.size());
+    for (const auto& p : protocols) {
+      result.protocols.emplace_back().name = p.name;
+      result.protocols.back().per_scenario.reserve(scenarios);
+    }
+    return result;
   }
-  return indexes;
-}
+};
 
-void validate(const graph::Graph& g, const traffic::TrafficMatrix& demand,
-              const traffic::CapacityPlan& plan,
-              const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_traffic_experiment: no protocols given");
-  }
-  if (demand.node_count() != g.node_count()) {
-    throw std::invalid_argument(
-        "run_traffic_experiment: demand matrix does not cover the graph");
-  }
-  if (plan.edge_count() != g.edge_count()) {
-    throw std::invalid_argument(
-        "run_traffic_experiment: capacity plan does not cover the graph");
-  }
-}
-
-double sum_in_order(std::span<const double> demands) {
-  double sum = 0.0;
-  for (double d : demands) sum += d;
-  return sum;
-}
-
-TrafficExperimentResult make_result(std::span<const graph::EdgeSet> scenarios,
-                                    const std::vector<NamedFactory>& protocols,
-                                    std::size_t flow_count, TrafficSweepMode mode) {
-  TrafficExperimentResult result;
-  result.scenarios = scenarios.size();
-  result.flows_per_scenario = flow_count;
-  result.mode = mode;
-  result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) {
-    ProtocolTraffic pt;
-    pt.name = p.name;
-    pt.per_scenario.reserve(scenarios.size());
-    result.protocols.push_back(std::move(pt));
-  }
-  return result;
+/// Folds one priced cell into its protocol's aggregate: the serial driver
+/// and the ordered reduce perform these additions in the same canonical
+/// scenario order, so the sums are bit-identical.
+void fold(ProtocolTraffic& agg, const CellOutcome& cell, const traffic::LoadMap& load) {
+  agg.per_scenario.push_back(cell.metrics);
+  agg.total_load.add(load);
+  agg.rerouted_flows += cell.rerouted;
 }
 
 }  // namespace
@@ -210,50 +251,25 @@ TrafficExperimentResult run_traffic_experiment(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, TrafficSweepMode mode) {
-  validate(g, demand, plan, protocols);
-
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  const double offered = sum_in_order(demands);
-
-  TrafficExperimentResult result = make_result(scenarios, protocols, flows.size(), mode);
-
   // Reused across scenarios and protocols; once warm, a scenario's routing
   // allocates nothing beyond the per-scenario metric rows and component ids.
+  // The cache warms with the pristine tables every scenario repair starts
+  // from.
+  route::ScenarioRoutingCache cache;
+  const TrafficSweep sweep(g, demand, plan, protocols, mode, cache);
+  TrafficExperimentResult result = sweep.make_result(scenarios.size());
   sim::BatchResult batch;
   traffic::LoadMap load;
-  route::ScenarioRoutingCache cache;
   traffic::IncidenceScratch scratch;
-  std::vector<traffic::FlowIncidenceIndex> indexes;
-  if (mode == TrafficSweepMode::kIncremental) {
-    indexes = build_indexes(g, protocols, flows, demands, cache);
-  }
 
   for (const auto& failures : scenarios) {
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
     const auto component = graph::connected_components(g, &failures);
-
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      auto& agg = result.protocols[i];
-      if (mode == TrafficSweepMode::kFullReroute) {
-        agg.per_scenario.push_back(route_cell(g, network, component, protocols[i],
-                                              cache, flows, demands, offered, plan,
-                                              batch, load));
-        agg.rerouted_flows += flows.size();
-      } else {
-        agg.per_scenario.push_back(route_cell_incremental(
-            g, network, component, protocols[i], cache, indexes[i], flows,
-            demands, offered, plan, batch, load, scratch));
-        agg.rerouted_flows += scratch.affected.size();
-#ifndef NDEBUG
-        cross_check_incremental_cell(g, network, component, protocols[i], cache,
-                                     flows, demands, offered, plan,
-                                     agg.per_scenario.back(), load);
-#endif
-      }
-      agg.total_load.add(load);
+      const CellOutcome cell =
+          sweep.price(i, network, component, cache, batch, load, scratch);
+      fold(result.protocols[i], cell, load);
     }
   }
   return result;
@@ -264,87 +280,47 @@ TrafficRunResult run_traffic_experiment_resilient(
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor,
     const sim::RunControl& control, TrafficSweepMode mode) {
-  validate(g, demand, plan, protocols);
-
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  const double offered = sum_in_order(demands);
-
   // Per-protocol pristine indexes are built once, serially, then shared
   // read-only by every worker.
-  std::vector<traffic::FlowIncidenceIndex> indexes;
-  if (mode == TrafficSweepMode::kIncremental) {
-    route::ScenarioRoutingCache pristine_cache;
-    indexes = build_indexes(g, protocols, flows, demands, pristine_cache);
-  }
+  route::ScenarioRoutingCache pristine_cache;
+  const TrafficSweep sweep(g, demand, plan, protocols, mode, pristine_cache);
 
-  // One slot per scenario, written by exactly one worker each.
-  struct ScenarioPartial {
-    std::vector<traffic::CongestionMetrics> metrics;    // per protocol
-    std::vector<traffic::LoadMapReduction> loads;       // per protocol, 1 scenario
-    std::vector<std::size_t> rerouted;                  // per protocol
+  // Flat-memory plumbing: a slot ring of the executor's reorder window; a
+  // slot holds one scenario's cells and load maps (per protocol) from its
+  // unit function until its reduce.
+  struct Slot {
+    std::vector<CellOutcome> cells;
+    std::vector<traffic::LoadMap> loads;
   };
-  std::vector<ScenarioPartial> partials(scenarios.size());
+  const std::size_t window = executor.default_ordered_window();
+  std::vector<Slot> slots(window, Slot{std::vector<CellOutcome>(protocols.size()),
+                                       std::vector<traffic::LoadMap>(protocols.size())});
 
+  TrafficRunResult run;
+  run.result = sweep.make_result(scenarios.size());
   const sim::SweepExecutor::UnitFn unit_fn = [&](std::size_t unit,
                                                  sim::WorkerContext& ctx) {
     const graph::EdgeSet& failures = scenarios[unit];
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
     const auto component = graph::connected_components(g, &failures);
-
-    ScenarioPartial& partial = partials[unit];
-    partial.metrics.reserve(protocols.size());
-    partial.loads.reserve(protocols.size());
-    partial.rerouted.reserve(protocols.size());
+    Slot& slot = slots[unit % window];
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      if (mode == TrafficSweepMode::kFullReroute) {
-        partial.metrics.push_back(route_cell(g, network, component, protocols[i],
-                                             ctx.routes, flows, demands, offered,
-                                             plan, ctx.batch, ctx.load));
-        partial.rerouted.push_back(flows.size());
-      } else {
-        partial.metrics.push_back(route_cell_incremental(
-            g, network, component, protocols[i], ctx.routes, indexes[i], flows,
-            demands, offered, plan, ctx.batch, ctx.load, ctx.incidence));
-        partial.rerouted.push_back(ctx.incidence.affected.size());
-#ifndef NDEBUG
-        cross_check_incremental_cell(g, network, component, protocols[i],
-                                     ctx.routes, flows, demands, offered, plan,
-                                     partial.metrics.back(), ctx.load);
-#endif
-      }
-      traffic::LoadMapReduction cell;
-      cell.add(ctx.load);
-      partial.loads.push_back(std::move(cell));
+      slot.cells[i] = sweep.price(i, network, component, ctx.routes, ctx.batch,
+                                  slot.loads[i], ctx.incidence);
     }
   };
-  TrafficRunResult run;
-  run.outcome = executor.run(scenarios.size(), unit_fn, control);
-
-  // Canonical-order merge over the surviving prefix: appending per-scenario
-  // rows and merging the load reductions in scenario order performs the
-  // serial driver's element-wise additions in the exact same sequence, so
-  // the floating-point sums are bit-identical.  Only units inside the
-  // executor's truncation prefix count -- anything beyond it (including
-  // slots a worker wrote before the stop was observed) is discarded, and
-  // contained-failure units (kContinue policy) merge nothing: their partial
-  // vectors stayed empty.
-  TrafficExperimentResult result = make_result(scenarios, protocols, flows.size(), mode);
-  result.scenarios = run.outcome.completed_units;
-  for (std::size_t s = 0; s < run.outcome.completed_units; ++s) {
-    ScenarioPartial& partial = partials[s];
-    for (std::size_t i = 0; i < partial.metrics.size(); ++i) {
-      auto& agg = result.protocols[i];
-      agg.per_scenario.push_back(partial.metrics[i]);
-      agg.total_load.merge(partial.loads[i]);
-      agg.rerouted_flows += partial.rerouted[i];
+  // Only units inside the executor's truncation prefix are reduced, and a
+  // failed unit (kContinue policy) is skipped whole: every protocol gets the
+  // same rows.
+  const sim::SweepExecutor::ReduceFn reduce_fn = [&](std::size_t unit) {
+    const Slot& slot = slots[unit % window];
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      fold(run.result.protocols[i], slot.cells[i], slot.loads[i]);
     }
-    // Release each shard's load maps as they merge.
-    std::vector<traffic::LoadMapReduction>().swap(partial.loads);
-  }
-  run.result = std::move(result);
+  };
+  run.outcome = executor.run(scenarios.size(), unit_fn, control, {.reduce = reduce_fn});
+  run.result.scenarios = run.outcome.completed_units;
   return run;
 }
 
@@ -353,17 +329,9 @@ TrafficExperimentResult run_traffic_experiment(
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor,
     TrafficSweepMode mode) {
-  // An unconstrained control: the sweep runs to completion unless a unit
-  // throws, in which case we surface it like the serial driver would.
-  const sim::RunControl control;
   TrafficRunResult run = run_traffic_experiment_resilient(
-      g, demand, plan, scenarios, protocols, executor, control, mode);
-  if (!run.complete()) {
-    const sim::UnitError* e = run.outcome.first_error();
-    throw sim::SweepUnitError(e != nullptr ? e->unit : 0,
-                              e != nullptr ? e->worker : 0,
-                              e != nullptr ? e->what : "sweep did not complete");
-  }
+      g, demand, plan, scenarios, protocols, executor, sim::RunControl{}, mode);
+  sim::throw_if_failed(run.outcome);
   return std::move(run.result);
 }
 

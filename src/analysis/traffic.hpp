@@ -8,21 +8,29 @@
 // against a capacity plan: max link utilization, overloaded links, and
 // delivered / lost / stranded traffic volume.  Like its siblings it has a
 // serial reference path and a SweepExecutor overload that is bit-identical
-// to it at every thread count (per-scenario units, canonical-order merge).
+// to it at every thread count: each scenario is a unit that prices its cells
+// into a ring slot, and the executor's ordered reduce folds the slot into
+// the result in canonical scenario order.
 //
 // Two sweep modes share those drivers:
 //   * kFullReroute -- the reference oracle: every scenario re-routes every
 //     flow from scratch, O(flows) protocol decisions per scenario;
 //   * kIncremental (default) -- one pristine routing pass per protocol builds
 //     a traffic::FlowIncidenceIndex; each scenario then probes it for the
-//     flows whose pristine path crosses a failed edge, re-routes ONLY those,
-//     and replays the cached pristine dart paths for everyone else,
+//     flows whose pristine path crosses a failed edge and hands them to the
+//     shared incremental cell (evaluate_cell below), which re-routes ONLY
+//     those and replays the cached pristine dart paths for everyone else,
 //     interleaved in canonical flow order.  Because the replay performs the
 //     exact floating-point addition sequence the full re-route would, the
 //     metric rows and merged LoadMaps are bit-identical to kFullReroute at
 //     every thread count -- single-link sweeps pay for the affected fraction
 //     (typically single-digit percent) instead of all n*(n-1) pairs.
 //     Debug builds cross-check every incremental cell against the oracle.
+//
+// The storm drivers (analysis/storm.hpp) price their scenarios with the same
+// cell, pristine-pass builder and input validator, probing per risk group
+// instead of per edge -- so a new protocol family needs only a NamedFactory
+// for every sweep to price it.
 #pragma once
 
 #include <cstdint>
@@ -84,13 +92,14 @@ struct TrafficExperimentResult {
   }
 };
 
-/// The sweep work-list every traffic driver routes: one FlowSpec per ordered
-/// pair with non-zero demand, in the canonical (s, t) order, with the
-/// matching per-flow demand vector.  Exposed so capacity-sizing callers (the
+/// The sweep work-list every traffic and storm driver routes: one FlowSpec
+/// per ordered pair with non-zero demand, in the canonical (s, t) order, with
+/// the matching per-flow demand vector.  Returns the offered volume, the
+/// demands summed in that order.  Exposed so capacity-sizing callers (the
 /// bench's pristine-load pass) build exactly the list the sweep will route.
-void collect_demand_flows(const traffic::TrafficMatrix& demand,
-                          std::vector<sim::FlowSpec>& flows,
-                          std::vector<double>& demands);
+double collect_demand_flows(const traffic::TrafficMatrix& demand,
+                            std::vector<sim::FlowSpec>& flows,
+                            std::vector<double>& demands);
 
 /// Routes the demand matrix through every scenario under every protocol and
 /// prices the resulting loads against `plan`.  Scenarios may disconnect the
@@ -105,11 +114,13 @@ void collect_demand_flows(const traffic::TrafficMatrix& demand,
     TrafficSweepMode mode = TrafficSweepMode::kIncremental);
 
 /// Parallel sharded variant: scenarios are work units on `executor`, each
-/// routed with the worker's reusable batch, load and incidence buffers
-/// (sim::WorkerContext); the per-protocol incidence indexes are built once,
-/// up front, and shared read-only by all workers.  Per-scenario metrics and
-/// load maps merge in canonical scenario order, so results are bit-identical
-/// to the serial overload -- and across both modes -- for every thread count.
+/// routed with the worker's reusable batch and incidence buffers
+/// (sim::WorkerContext) into a ring slot; the per-protocol incidence indexes
+/// are built once, up front, and shared read-only by all workers.  The
+/// ordered reduce folds each slot's metrics rows and load maps in canonical
+/// scenario order, so results are bit-identical to the serial overload --
+/// and across both modes -- for every thread count.  A failed scenario is
+/// rethrown via sim::throw_if_failed (sim::SweepUnitError, original nested).
 [[nodiscard]] TrafficExperimentResult run_traffic_experiment(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
@@ -119,7 +130,9 @@ void collect_demand_flows(const traffic::TrafficMatrix& demand,
 /// A resilient traffic run: the (possibly partial) result plus the
 /// executor's stop report.  result.scenarios == outcome.completed_units and
 /// every per-protocol row/load covers exactly the canonical scenario prefix
-/// [0, completed_units) -- bit-identical to running just those scenarios.
+/// [0, completed_units) -- bit-identical to running just those scenarios --
+/// minus the failed scenarios under UnitErrorPolicy::kContinue, which
+/// contribute nothing to any protocol.
 struct TrafficRunResult {
   TrafficExperimentResult result;
   sim::SweepOutcome outcome;
@@ -129,10 +142,11 @@ struct TrafficRunResult {
   }
 };
 
-/// The executor overload under a sim::RunControl: stops cooperatively at
-/// scenario boundaries on cancel/deadline/budget, contains per-scenario
-/// failures per the control's error policy, and returns the surviving
-/// canonical prefix instead of throwing.  Scenario lists are enumerated
+/// The executor overload under a sim::RunControl, run through the
+/// executor's one controlled entry point: stops cooperatively at scenario
+/// boundaries on cancel/deadline/budget, contains per-scenario failures per
+/// the control's error policy, and returns the surviving canonical prefix
+/// instead of throwing.  Scenario lists are enumerated
 /// (unlike sampled storms), so "resume" is simply re-running with the
 /// remaining span -- no checkpoint machinery needed here.
 [[nodiscard]] TrafficRunResult run_traffic_experiment_resilient(
@@ -141,5 +155,60 @@ struct TrafficRunResult {
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor,
     const sim::RunControl& control,
     TrafficSweepMode mode = TrafficSweepMode::kIncremental);
+
+// ---------------------------------------------------------------------------
+// The sweep cell shared by the traffic and storm drivers.
+
+/// Throws std::invalid_argument, prefixed with `driver`, unless `protocols`
+/// is non-empty and `demand` and `plan` cover `g`.
+void validate_sweep_inputs(const char* driver, const graph::Graph& g,
+                           const traffic::TrafficMatrix& demand,
+                           const traffic::CapacityPlan& plan,
+                           const std::vector<NamedFactory>& protocols);
+
+/// What one pristine routing pass of a protocol over the sweep's work-list
+/// leaves every scenario cell.
+struct PristinePass {
+  traffic::FlowIncidenceIndex flows;
+  traffic::GroupIncidence groups;  ///< SRLG-grained view (storm sweeps only)
+  std::vector<double> costs;       ///< per-flow path cost (storm sweeps only)
+};
+
+/// One pristine pass per protocol over `flows`.  `cache` warms with the
+/// pristine tables every scenario repair then starts from.  A `catalog` adds
+/// the storm extras: the group view and the costs stretch divides by.
+[[nodiscard]] std::vector<PristinePass> build_pristine_passes(
+    const graph::Graph& g, const std::vector<NamedFactory>& protocols,
+    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
+    route::ScenarioRoutingCache& cache, const net::SrlgCatalog* catalog = nullptr);
+
+/// One (scenario, protocol) cell: the congestion metrics row, the worst
+/// stretch among delivered re-routed flows, and how many flows went through
+/// the protocol instance.
+struct CellOutcome {
+  traffic::CongestionMetrics metrics;
+  double max_stretch = 1.0;
+  std::size_t rerouted = 0;
+};
+
+/// The incremental cell over a work-list `flows`/`demands` that `index` (and
+/// a non-empty `pristine_costs`) was built from.  The caller probes the
+/// affected flows into `scratch` (affected and affected_mark, as the
+/// affected_flows probes of FlowIncidenceIndex and GroupIncidence leave
+/// them); the cell re-routes only those with full traces, rebuilds `load` by
+/// replaying every flow in canonical flow order -- `index`'s pristine rows
+/// for the untouched majority, the fresh paths for the rest -- splits
+/// dropped demand into lost (source and destination share a `component`)
+/// and stranded, and applies utilization against `plan`.  It tracks
+/// max_stretch only when handed `pristine_costs`.  When nothing is affected
+/// no protocol instance is built at all.
+[[nodiscard]] CellOutcome evaluate_cell(
+    const graph::Graph& g, const net::Network& network,
+    std::span<const std::uint32_t> component, const NamedFactory& factory,
+    route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
+    std::span<const double> pristine_costs, std::span<const sim::FlowSpec> flows,
+    std::span<const double> demands, double offered_pps,
+    const traffic::CapacityPlan& plan, sim::BatchResult& batch,
+    traffic::LoadMap& load, traffic::IncidenceScratch& scratch);
 
 }  // namespace pr::analysis

@@ -67,8 +67,7 @@ struct SweepExecutor::Impl {
 
   // Current job, guarded by `mutex` except for the atomics.
   const UnitFn* fn = nullptr;
-  std::size_t unit_count = 0;
-  std::size_t claim_limit = 0;  // min(unit_count, control budget)
+  std::size_t claim_limit = 0;  // min(unit count, control budget)
   std::uint64_t seed = 0;
   std::uint64_t generation = 0;  // bumped per run(); wakes the pool
   std::size_t idle_workers = 0;  // workers finished with the current job
@@ -80,64 +79,56 @@ struct SweepExecutor::Impl {
   // telemetry between runs is safe.
   SweepTelemetry telemetry;
 
-  // Run-control plumbing for the current job.  `control` is read-only;
-  // `policy`/`faults` are snapshots taken at job start.  Legacy (void) entry
-  // points run with kStop policy and rethrow the lowest-unit failure.
+  // Run-control plumbing for the current job; `control` is read-only.
   const RunControl* control = nullptr;
-  const FaultPlan* faults = nullptr;
-  UnitErrorPolicy policy = UnitErrorPolicy::kStop;
   std::atomic<bool> halted{false};  // stop claiming; in-flight units finish
   bool saw_cancel = false;          // guarded by `mutex`
   bool saw_deadline = false;        // guarded by `mutex`
 
   // Error containment, guarded by `mutex`.  `truncate_at` is the lowest unit
-  // whose failure truncates the prefix (kStop/legacy policy, or a reduce()
-  // failure under any policy); kNoTruncation when none has.
+  // whose failure truncates the prefix (kStop policy, or a reduce() failure
+  // under any policy); kNoTruncation when none has.
   std::vector<UnitError> errors;
   std::size_t error_count = 0;
   std::size_t truncate_at = kNoTruncation;
-  std::exception_ptr lowest_error;       // for the legacy rethrow
-  std::size_t lowest_error_unit = kNoTruncation;
-  std::size_t lowest_error_worker = 0;
 
-  // Auto-checkpoint plumbing for the current job (controlled ordered runs
-  // only).  The hooks run on the monitor thread; the counters are written
-  // there under `mutex` and read by run_job after the monitor joins.
-  const AutoCheckpoint* auto_ckpt = nullptr;
+  // Auto-checkpoint counters for the current job (ordered runs only): the
+  // hooks run on the monitor thread, which writes these under `mutex`; run()
+  // reads them after the monitor joins.
   std::size_t auto_checkpoints = 0;
   std::size_t checkpoint_failures = 0;
 
-  // Ordered-reduction state (run_ordered only), guarded by `mutex`.
+  // Ordered-reduction state (ordered runs only), guarded by `mutex`.
   const ReduceFn* reduce = nullptr;
   std::size_t window = 0;
   std::size_t watermark = 0;        // next unit to reduce, strictly ascending
   std::vector<std::uint8_t> done;   // ring, size `window`: 0 pending, 1 ok, 2 failed
   std::condition_variable slot_free;
 
-  std::atomic<std::size_t> next_unit{0};
-  std::atomic<std::size_t> executed{0};  // claimed units actually attempted
+  std::atomic<std::size_t> next_unit{0};  // claim cursor; overshoots claim_limit
 
-  /// Captures the active exception as a UnitError (and as the legacy rethrow
-  /// candidate when it is the lowest unit so far).  Under a truncating policy
-  /// also halts claiming and lowers `truncate_at`.  Caller must hold `mutex`
-  /// and be inside a catch block.
+  /// Captures the active exception as a UnitError.  Once kMaxRecordedErrors
+  /// are held, a lower unit evicts the highest, so the recorded set -- and
+  /// the lowest unit throw_if_failed() rethrows -- is the same at every
+  /// thread count whenever the failures are.  Under a truncating policy also
+  /// halts claiming and lowers `truncate_at`.  Caller must hold `mutex` and
+  /// be inside a catch block.
   void record_error_locked(std::size_t unit, std::size_t worker, bool truncating) {
     ++error_count;
-    std::string what;
+    UnitError error{unit, worker, "unknown exception", std::current_exception()};
     try {
       throw;
     } catch (const std::exception& e) {
-      what = e.what();
+      error.what = e.what();
     } catch (...) {
-      what = "unknown exception";
     }
     if (errors.size() < SweepOutcome::kMaxRecordedErrors) {
-      errors.push_back(UnitError{unit, worker, std::move(what)});
-    }
-    if (unit < lowest_error_unit) {
-      lowest_error_unit = unit;
-      lowest_error_worker = worker;
-      lowest_error = std::current_exception();
+      errors.push_back(std::move(error));
+    } else {
+      const auto highest = std::max_element(
+          errors.begin(), errors.end(),
+          [](const UnitError& a, const UnitError& b) { return a.unit < b.unit; });
+      if (unit < highest->unit) *highest = std::move(error);
     }
     if (truncating) {
       halted.store(true, std::memory_order_relaxed);
@@ -154,6 +145,7 @@ struct SweepExecutor::Impl {
       obs::Counters* cell = nullptr;
       obs::TraceLog* trace = nullptr;
       obs::SweepProgress* progress = nullptr;
+      const FaultPlan* faults = nullptr;
       {
         std::unique_lock<std::mutex> lock(mutex);
         work_ready.wait(lock, [&] { return stopping || generation != seen_generation; });
@@ -165,6 +157,7 @@ struct SweepExecutor::Impl {
         }
         trace = telemetry.trace;
         progress = telemetry.progress;
+        faults = control->fault_plan();
       }
       // Worker w's counter cell becomes this thread's sink for the whole
       // job, so instrumented subsystems deep in the unit function (SPF
@@ -177,22 +170,15 @@ struct SweepExecutor::Impl {
       const bool timed = cell != nullptr || trace != nullptr || progress != nullptr;
       while (true) {
         if (halted.load(std::memory_order_relaxed)) break;
-        if (control != nullptr) {
-          // Cooperative stop checks happen BEFORE claiming: a claimed unit
-          // always runs to completion, which is what keeps the executed set
-          // a contiguous prefix (claims are handed out in order).
-          if (control->cancelled()) {
-            halted.store(true, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex);
-            saw_cancel = true;
-            break;
-          }
-          if (control->deadline_expired()) {
-            halted.store(true, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex);
-            saw_deadline = true;
-            break;
-          }
+        // Cooperative stop checks happen BEFORE claiming: a claimed unit
+        // always runs to completion, which is what keeps the executed set a
+        // contiguous prefix (claims are handed out in order).
+        const bool cancelled = control->cancelled();
+        if (cancelled || control->deadline_expired()) {
+          halted.store(true, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(mutex);
+          (cancelled ? saw_cancel : saw_deadline) = true;
+          break;
         }
         const std::size_t unit = next_unit.fetch_add(1, std::memory_order_relaxed);
         if (unit >= claim_limit) break;
@@ -253,9 +239,8 @@ struct SweepExecutor::Impl {
           if (cell != nullptr) cell->add(obs::Counter::kUnitErrors);
           std::lock_guard<std::mutex> lock(mutex);
           record_error_locked(unit, worker_index,
-                              policy == UnitErrorPolicy::kStop);
+                              control->error_policy() == UnitErrorPolicy::kStop);
         }
-        executed.fetch_add(1, std::memory_order_relaxed);
         if (timed) {
           const std::uint64_t unit_t1 = obs::now_ns();
           if (progress != nullptr) progress->unit_finished(worker_index, unit_t1);
@@ -376,52 +361,36 @@ void SweepExecutor::set_telemetry(const SweepTelemetry& telemetry) {
   impl_->telemetry = telemetry;
 }
 
-void SweepExecutor::run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed) {
-  run_job(unit_count, fn, nullptr, nullptr, nullptr, seed, 0, /*legacy=*/true);
+void throw_if_failed(const SweepOutcome& outcome) {
+  const UnitError* e = outcome.first_error();
+  if (e == nullptr) return;
+  if (!e->cause) throw SweepUnitError(e->unit, e->worker, e->what);
+  // Rethrow with unit/worker context; std::throw_with_nested attaches the
+  // original so callers can still dig out its concrete type.
+  try {
+    std::rethrow_exception(e->cause);
+  } catch (...) {
+    std::throw_with_nested(SweepUnitError(e->unit, e->worker, e->what));
+  }
 }
 
-SweepOutcome SweepExecutor::run(std::size_t unit_count, const UnitFn& fn,
-                                const RunControl& control, std::uint64_t seed) {
-  return run_job(unit_count, fn, nullptr, &control, nullptr, seed, 0,
-                 /*legacy=*/false);
+void SweepExecutor::run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed) {
+  throw_if_failed(run(unit_count, fn, RunControl{}, RunOptions{.seed = seed}));
+}
+
+void SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
+                                const ReduceFn& reduce, std::uint64_t seed,
+                                std::size_t window) {
+  throw_if_failed(run(unit_count, fn, RunControl{},
+                      RunOptions{.seed = seed, .reduce = reduce, .window = window}));
 }
 
 std::size_t SweepExecutor::default_ordered_window() const noexcept {
   return std::max<std::size_t>(4 * impl_->workers.size(), 16);
 }
 
-void SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
-                                const ReduceFn& reduce, std::uint64_t seed,
-                                std::size_t window) {
-  if (window == 0) window = default_ordered_window();
-  run_job(unit_count, fn, &reduce, nullptr, nullptr, seed, window, /*legacy=*/true);
-}
-
-SweepOutcome SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
-                                        const ReduceFn& reduce,
-                                        const RunControl& control,
-                                        std::uint64_t seed, std::size_t window) {
-  if (window == 0) window = default_ordered_window();
-  return run_job(unit_count, fn, &reduce, &control, nullptr, seed, window,
-                 /*legacy=*/false);
-}
-
-SweepOutcome SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
-                                        const ReduceFn& reduce,
-                                        const RunControl& control,
-                                        const AutoCheckpoint& checkpoint,
-                                        std::uint64_t seed, std::size_t window) {
-  if (window == 0) window = default_ordered_window();
-  return run_job(unit_count, fn, &reduce, &control, &checkpoint, seed, window,
-                 /*legacy=*/false);
-}
-
-SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
-                                    const ReduceFn* reduce,
-                                    const RunControl* control,
-                                    const AutoCheckpoint* auto_checkpoint,
-                                    std::uint64_t seed, std::size_t window,
-                                    bool legacy) {
+SweepOutcome SweepExecutor::run(std::size_t unit_count, const UnitFn& fn,
+                                const RunControl& control, const RunOptions& options) {
   if (unit_count == 0) return SweepOutcome{};
   std::unique_lock<std::mutex> lock(impl_->mutex);
   if (impl_->job_active) {
@@ -429,35 +398,27 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
         "SweepExecutor::run: executor already driving a job (no reentrant or "
         "concurrent run() calls; give each driving thread its own executor)");
   }
+  const ReduceFn* reduce = options.reduce ? &options.reduce : nullptr;
+  const std::size_t window =
+      reduce == nullptr ? 0
+                        : (options.window == 0 ? default_ordered_window() : options.window);
   impl_->job_active = true;
   impl_->fn = &fn;
-  impl_->unit_count = unit_count;
-  impl_->claim_limit =
-      control == nullptr ? unit_count : std::min(unit_count, control->unit_budget());
-  impl_->seed = seed;
+  impl_->claim_limit = std::min(unit_count, control.unit_budget());
+  impl_->seed = options.seed;
   impl_->reduce = reduce;
   impl_->window = window;
   impl_->watermark = 0;
   impl_->done.assign(window, 0);
-  impl_->control = control;
-  impl_->faults = control == nullptr ? nullptr : control->fault_plan();
-  impl_->policy = (legacy || control == nullptr) ? UnitErrorPolicy::kStop
-                                                 : control->error_policy();
+  impl_->control = &control;
   impl_->halted.store(false, std::memory_order_relaxed);
   impl_->saw_cancel = false;
   impl_->saw_deadline = false;
   impl_->errors.clear();
   impl_->error_count = 0;
   impl_->truncate_at = Impl::kNoTruncation;
-  impl_->lowest_error = nullptr;
-  impl_->lowest_error_unit = Impl::kNoTruncation;
-  impl_->lowest_error_worker = 0;
   impl_->next_unit.store(0, std::memory_order_relaxed);
-  impl_->executed.store(0, std::memory_order_relaxed);
   impl_->idle_workers = 0;
-  impl_->auto_ckpt =
-      (auto_checkpoint != nullptr && auto_checkpoint->active()) ? auto_checkpoint
-                                                                : nullptr;
   impl_->auto_checkpoints = 0;
   impl_->checkpoint_failures = 0;
 
@@ -471,7 +432,9 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
   // prefix (see AutoCheckpoint).
   obs::SweepProgress* progress = impl_->telemetry.progress;
   obs::TraceLog* trace = impl_->telemetry.trace;
-  const AutoCheckpoint* ckpt = impl_->auto_ckpt;
+  const AutoCheckpoint* ckpt =
+      (options.checkpoint != nullptr && options.checkpoint->active()) ? options.checkpoint
+                                                                      : nullptr;
   std::thread monitor;
   if (progress != nullptr || ckpt != nullptr) {
     if (progress != nullptr) {
@@ -563,8 +526,6 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
   impl_->fn = nullptr;
   impl_->reduce = nullptr;
   impl_->control = nullptr;
-  impl_->faults = nullptr;
-  impl_->auto_ckpt = nullptr;  // the monitor holds its own copy until joined
   impl_->job_active = false;
 
   SweepOutcome outcome;
@@ -572,12 +533,13 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
   if (reduce != nullptr) {
     outcome.completed_units = impl_->watermark;
   } else {
-    outcome.completed_units = truncated
-                                  ? impl_->truncate_at
-                                  : impl_->executed.load(std::memory_order_relaxed);
+    // An unordered run executes every unit it claims, and claims in order.
+    outcome.completed_units =
+        truncated ? impl_->truncate_at
+                  : std::min(impl_->next_unit.load(std::memory_order_relaxed),
+                             impl_->claim_limit);
   }
-  outcome.errors = std::move(impl_->errors);
-  impl_->errors.clear();
+  outcome.errors = std::move(impl_->errors);  // the next run clears it
   std::sort(outcome.errors.begin(), outcome.errors.end(),
             [](const UnitError& a, const UnitError& b) {
               return a.unit != b.unit ? a.unit < b.unit : a.worker < b.worker;
@@ -595,15 +557,6 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
     outcome.stop_reason = StopReason::kBudget;  // claim_limit < unit_count
   }
 
-  std::exception_ptr legacy_error;
-  std::size_t legacy_unit = 0;
-  std::size_t legacy_worker = 0;
-  if (legacy && impl_->lowest_error) {
-    legacy_error = impl_->lowest_error;
-    legacy_unit = impl_->lowest_error_unit;
-    legacy_worker = impl_->lowest_error_worker;
-  }
-  impl_->lowest_error = nullptr;
   const std::size_t truncation_point = impl_->truncate_at;
   lock.unlock();
 
@@ -611,26 +564,13 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
   // the lock is released.
   if (monitor.joinable()) monitor.join();
   // Checkpoint counters are read AFTER the join: a persist in flight when the
-  // pool drained still completes (and counts) before run_job returns.
+  // pool drained still completes (and counts) before run() returns.
   outcome.auto_checkpoints = impl_->auto_checkpoints;
   outcome.checkpoint_failures = impl_->checkpoint_failures;
   if (progress != nullptr) progress->end_job(obs::now_ns());
   if (trace != nullptr && truncated) {
     trace->record_instant(obs::SpanKind::kTruncate, 0, truncation_point,
                           outcome.completed_units);
-  }
-
-  if (legacy_error) {
-    // Rethrow with unit/worker context; std::throw_with_nested attaches the
-    // original so callers can still dig out its concrete type.
-    try {
-      std::rethrow_exception(legacy_error);
-    } catch (const std::exception& e) {
-      std::throw_with_nested(SweepUnitError(legacy_unit, legacy_worker, e.what()));
-    } catch (...) {
-      std::throw_with_nested(
-          SweepUnitError(legacy_unit, legacy_worker, "unknown exception"));
-    }
   }
   return outcome;
 }

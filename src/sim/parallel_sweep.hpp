@@ -2,10 +2,10 @@
 //
 // The paper's guarantee -- zero loss for any failure combination the cycle
 // table covers -- is only demonstrable by enumerating large
-// (scenario x ordered-pair x protocol) spaces.  PR 1 made one sweep
-// allocation-free (sim::route_batch); this layer shards a sweep's work units
-// (a failure scenario plus its affected flow list) across a persistent worker
-// pool so enumeration scales with the hardware.
+// (scenario x ordered-pair x protocol) spaces.  sim::route_batch makes one
+// sweep allocation-free; this layer shards a sweep's work units (a failure
+// scenario plus its affected flow list) across a persistent worker pool so
+// enumeration scales with the hardware.
 //
 // Determinism contract: results are bit-identical for every thread count,
 // including 1, and identical to the serial route_batch path.  Three rules
@@ -17,19 +17,20 @@
 //   2. randomness comes from per-unit streams split off the caller's seed
 //      (split_seed), never from a per-thread or shared generator, so a unit
 //      draws the same numbers no matter which worker runs it;
-//   3. callers write per-unit results into preallocated slots and merge them
-//      in canonical unit order after run() returns -- never in completion
-//      order.  Integer counters are order-insensitive anyway; floating-point
-//      accumulators (costs, stretch sums) are not, which is why the merge
-//      order is part of the contract.
+//   3. a unit writes its results into a ring slot and the ordered reduce
+//      folds that slot in canonical unit order -- never in completion order.
+//      Integer counters are order-insensitive anyway; floating-point
+//      accumulators (costs, stretch sums) are not, which is why the fold
+//      order is part of the contract.  Every sweep driver in analysis/ works
+//      this way.
 //
-// Robustness contract (PR 8): the controlled overloads taking a RunControl
-// return a SweepOutcome instead of throwing, stop cooperatively at unit
-// boundaries on cancel/deadline/budget, contain per-unit exceptions, and
-// guarantee the surviving results form the canonical prefix [0, k) -- see
-// sim/run_control.hpp for the truncation contract.  The legacy void
-// overloads keep their throwing behaviour, now with unit/worker context
-// attached via SweepUnitError.
+// Robustness contract: the one controlled entry point, run(n, fn, control,
+// options), returns a SweepOutcome instead of throwing, stops cooperatively
+// at unit boundaries on cancel/deadline/budget, contains per-unit
+// exceptions, and guarantees the surviving results form the canonical prefix
+// [0, k) -- see sim/run_control.hpp for the truncation contract.  The two
+// throwing forms are thin wrappers over it: they run under a default
+// RunControl and hand the outcome to throw_if_failed().
 #pragma once
 
 #include <cstdint>
@@ -113,11 +114,25 @@ struct AutoCheckpoint {
   }
 };
 
-/// Thrown by the legacy (void) run()/run_ordered() overloads when a unit
-/// function throws: carries the failing unit index and the worker that ran
-/// it, with the original exception attached via std::throw_with_nested.
-/// When several in-flight units fail before the pool drains, the LOWEST unit
-/// is the one rethrown, so the surfaced error is deterministic across thread
+/// The optional parts of a controlled SweepExecutor::run -- everything beyond
+/// the unit function and the RunControl.
+struct RunOptions {
+  /// Roots the per-unit RNG streams: unit u draws from split_seed(seed, u).
+  std::uint64_t seed = 0;
+  /// Canonical-order reduce (SweepExecutor::ReduceFn); empty runs unordered.
+  std::function<void(std::size_t unit)> reduce{};
+  /// Reduce slot-ring size; 0 selects default_ordered_window().
+  std::size_t window = 0;
+  /// Periodic checkpoints of an ordered run; must outlive the call.
+  const AutoCheckpoint* checkpoint = nullptr;
+};
+
+/// Thrown by throw_if_failed() -- and so by the throwing run()/run_ordered()
+/// forms and every throwing sweep driver in analysis/ -- when a unit (or a
+/// reduce) threw: carries the failing unit index and the worker that ran it,
+/// with the original exception attached via std::throw_with_nested.  When
+/// several in-flight units fail before the pool drains, the LOWEST unit is
+/// the one rethrown, so the surfaced error is deterministic across thread
 /// counts whenever the failure itself is.
 class SweepUnitError : public std::runtime_error {
  public:
@@ -136,6 +151,11 @@ class SweepUnitError : public std::runtime_error {
   std::size_t worker_;
 };
 
+/// The one rethrow path of the sweep stack: throws SweepUnitError for
+/// outcome.first_error() (the lowest failing unit), with the unit's original
+/// exception nested, and returns when no unit failed.
+void throw_if_failed(const SweepOutcome& outcome);
+
 /// Deterministic stream splitting (splitmix64 over seed ^ f(stream)): the
 /// RNG stream for work unit `stream` of a sweep seeded with `seed`.
 /// Adjacent units get statistically independent streams; the mapping depends
@@ -153,9 +173,9 @@ class WorkerContext {
   std::vector<char> flags;
   BatchResult batch;
 
-  /// Reusable per-dart load accumulator for demand-weighted sweeps: the
-  /// load-accumulating route_batch overload resets it per call, so once warm
-  /// a traffic sweep adds no per-scenario heap traffic.
+  /// Reusable per-dart load accumulator for demand-weighted sweeps: a cell
+  /// resets it per scenario, so once warm a storm sweep adds no per-scenario
+  /// heap traffic.
   traffic::LoadMap load;
 
   /// Per-worker scratch for incremental traffic sweeps: affected-flow marks
@@ -198,7 +218,7 @@ class SweepExecutor {
   /// caller's own synchronisation.
   using UnitFn = std::function<void(std::size_t unit, WorkerContext& ctx)>;
 
-  /// Streaming reduction hook for run_ordered(): called exactly once per
+  /// Streaming reduction hook of an ordered run: called exactly once per
   /// unit, in canonical unit order (0, 1, 2, ...), never concurrently with
   /// itself or with another reduce call.  It runs on whichever worker thread
   /// happened to close the gap, under the executor's internal lock: keep it
@@ -222,74 +242,45 @@ class SweepExecutor {
   /// std::logic_error).  See SweepTelemetry for the determinism guarantee.
   void set_telemetry(const SweepTelemetry& telemetry);
 
-  /// Applies `fn` to every unit in [0, unit_count), dynamically sharded
-  /// across the pool; returns when all units finished.  `seed` roots the
-  /// per-unit RNG streams.  If any invocation throws, no new units are
-  /// claimed, in-flight units finish, and the lowest failing unit's
-  /// exception is rethrown here wrapped in SweepUnitError (original
-  /// attached via std::throw_with_nested).
+  /// The controlled entry point every sweep goes through: applies `fn` to
+  /// every unit in [0, unit_count), dynamically sharded across the pool.
+  /// Stop signals (cancel, deadline, unit budget -- checked cooperatively
+  /// before each claim), fault injection and the error policy come from
+  /// `control`, which may be shared with a canceller thread.  Instead of
+  /// throwing, the call returns a SweepOutcome whose completed_units is the
+  /// canonical prefix length k: units [0, k) all executed (contained failures
+  /// listed in errors under kContinue); results of units >= k must be dropped.
+  ///
+  /// With options.reduce set, reduce(u) fires after unit u's function
+  /// returned, once every unit below u was reduced: the sequence is exactly
+  /// 0, 1, ..., k-1 at every thread count however the sweep stops, so
+  /// order-sensitive streaming state (P^2 markers, top-K heaps,
+  /// floating-point sums) is bit-identical to a serial sweep.  A failed unit's
+  /// reduce is skipped under kContinue (it still counts toward the prefix);
+  /// reduce() itself throwing always truncates.  Unit u does not start before
+  /// reduce(u - window) returned, so a ring of `window` slots (index
+  /// unit % window) carries results from fn to reduce in flat memory; a
+  /// window of 1 fully serialises the pipeline.  An active options.checkpoint
+  /// seals and persists the reduced prefix on its cadence (see
+  /// AutoCheckpoint) without changing a result bit.
+  SweepOutcome run(std::size_t unit_count, const UnitFn& fn, const RunControl& control,
+                   const RunOptions& options = {});
+
+  /// Throwing form: the controlled run() under a default RunControl (no stop
+  /// signals, kStop policy), its outcome handed to throw_if_failed().
   void run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed = 0);
 
-  /// Controlled sweep: like run(), but stop signals (cancel, deadline, unit
-  /// budget -- checked cooperatively before each claim), fault injection and
-  /// the error policy come from `control`, and instead of throwing the call
-  /// returns a SweepOutcome whose completed_units is the canonical prefix
-  /// length k: units [0, k) all executed (contained failures listed in
-  /// errors under kContinue), results of any unit >= k must be discarded.
-  /// `control` is read-only here and may be shared with a canceller thread.
-  SweepOutcome run(std::size_t unit_count, const UnitFn& fn,
-                   const RunControl& control, std::uint64_t seed = 0);
-
-  /// run() plus a canonical-order streaming reduction: after unit u's
-  /// function returns, `reduce(u)` fires once the reductions of every unit
-  /// below u have fired -- so the reduce sequence is 0, 1, 2, ... for every
-  /// thread count, which makes order-sensitive streaming state (P^2 quantile
-  /// markers, top-K heaps, floating-point accumulators) bit-identical to a
-  /// serial sweep without any per-unit result vector.
-  ///
-  /// `window` bounds the in-flight span: unit u is not started before
-  /// reduce(u - window) has returned, so the caller can hand results from
-  /// unit fn to reduce fn through a ring of exactly `window` slots (index
-  /// unit % window) and memory stays flat no matter how many units run.
-  /// window == 0 selects default_ordered_window(); an explicit window may be
-  /// as small as 1 (fully serialised pipeline).
+  /// Throwing ordered form: the controlled run() with `reduce` and `window`
+  /// under a default RunControl, rethrown like the form above.
   void run_ordered(std::size_t unit_count, const UnitFn& fn, const ReduceFn& reduce,
                    std::uint64_t seed = 0, std::size_t window = 0);
 
-  /// Controlled ordered sweep: run_ordered() under a RunControl.  The reduce
-  /// sequence is exactly 0, 1, ..., completed_units-1 however the sweep
-  /// stops, so streaming reducer state is always a clean canonical prefix --
-  /// the property checkpoint/resume builds on.  Under
-  /// UnitErrorPolicy::kContinue a failed unit's reduce is skipped (the
-  /// watermark steps over it) and the unit still counts toward the prefix;
-  /// reduce() itself throwing always truncates (streaming state is
-  /// potentially half-folded past that point).
-  SweepOutcome run_ordered(std::size_t unit_count, const UnitFn& fn,
-                           const ReduceFn& reduce, const RunControl& control,
-                           std::uint64_t seed = 0, std::size_t window = 0);
-
-  /// Controlled ordered sweep with periodic auto-checkpointing: the monitor
-  /// thread invokes `checkpoint` on its cadence while the sweep runs (see
-  /// AutoCheckpoint for the exact locking/prefix guarantees).  `checkpoint`
-  /// must outlive the call; an inactive checkpoint (no hooks or no cadence)
-  /// degrades to the plain controlled overload.  Checkpointing is durability
-  /// only: results are bit-identical with it on, off, or failing.
-  SweepOutcome run_ordered(std::size_t unit_count, const UnitFn& fn,
-                           const ReduceFn& reduce, const RunControl& control,
-                           const AutoCheckpoint& checkpoint,
-                           std::uint64_t seed = 0, std::size_t window = 0);
-
-  /// The window run_ordered(..., window = 0) selects: wide enough to keep
+  /// The window an ordered run with window 0 selects: wide enough to keep
   /// every worker busy across reduction stalls (4 * thread_count(), floor 16).
   /// Callers sizing slot rings should use this.
   [[nodiscard]] std::size_t default_ordered_window() const noexcept;
 
  private:
-  SweepOutcome run_job(std::size_t unit_count, const UnitFn& fn,
-                       const ReduceFn* reduce, const RunControl* control,
-                       const AutoCheckpoint* auto_checkpoint, std::uint64_t seed,
-                       std::size_t window, bool legacy);
-
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -9,7 +9,7 @@
 // SweepExecutor's claim loop, which checks them cooperatively at unit
 // boundaries and guarantees DETERMINISTIC TRUNCATION: however a sweep stops
 // (cancel, deadline, budget, contained unit error), the set of units whose
-// results count -- and, for run_ordered, the reduce sequence -- is a
+// results count -- and, for an ordered run, the reduce sequence -- is a
 // canonical prefix [0, k) of the unit order.  Partial results are therefore
 // bit-identical to a serial run of the same prefix, which is what makes
 // checkpoint/resume (analysis/checkpoint.hpp) exact rather than approximate.
@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -40,34 +41,37 @@ enum class StopReason : std::uint8_t {
 
 [[nodiscard]] const char* to_string(StopReason reason) noexcept;
 
-/// What to do when a work unit throws under an outcome-returning run:
-/// truncate the sweep at the failing unit (the canonical-prefix default) or
-/// skip just that unit and keep going, accumulating the error.  The legacy
-/// void run()/run_ordered() entry points always stop and rethrow.
+/// What to do when a work unit throws under a controlled run: truncate the
+/// sweep at the failing unit (the canonical-prefix default) or skip just that
+/// unit and keep going, accumulating the error.  The throwing run() and
+/// run_ordered() forms always stop and rethrow.
 enum class UnitErrorPolicy : std::uint8_t {
   kStop,      ///< contain the error, drain to the prefix [0, failing unit)
   kContinue,  ///< record the error, skip the unit's reduce, keep sweeping
 };
 
-/// One contained work-unit failure: which unit, which worker ran it, and the
-/// exception's what().  The worker index is diagnostic only -- results never
-/// depend on it; the unit index is part of the truncation contract.
+/// One contained work-unit failure: which unit, which worker ran it, the
+/// exception's what(), and the exception itself (what
+/// sim::throw_if_failed() nests).  The worker index is diagnostic only --
+/// results never depend on it; the unit index is part of the truncation
+/// contract.
 struct UnitError {
   std::size_t unit = 0;
   std::size_t worker = 0;
   std::string what;
+  std::exception_ptr cause;
 };
 
 /// How a controlled sweep ended.  `completed_units` is the canonical prefix
-/// length k: units [0, k) all executed -- and, for run_ordered, were reduced
+/// length k: units [0, k) all executed -- and, for an ordered run, were reduced
 /// in order 0, 1, ..., k-1 -- except units listed in `errors` (non-empty
 /// inside the prefix only under UnitErrorPolicy::kContinue).  Results for
 /// units >= k must be ignored even if their slots were written.
 struct SweepOutcome {
   std::size_t completed_units = 0;
   StopReason stop_reason = StopReason::kCompleted;
-  /// Contained failures, ascending by unit; capped at kMaxRecordedErrors
-  /// entries (error_count keeps the true total).
+  /// Contained failures, ascending by unit; the lowest kMaxRecordedErrors
+  /// units when more failed (error_count keeps the true total).
   std::vector<UnitError> errors;
   std::size_t error_count = 0;
   /// Periodic checkpoints persisted by the monitor thread during this run

@@ -78,11 +78,12 @@ struct LoadMapDiff {
 [[nodiscard]] LoadMapDiff diff(const LoadMap& a, const LoadMap& b);
 
 /// Mergeable sweep reduction: the summed load map plus the scenario count it
-/// covers.  The traffic sweep drivers keep one per protocol: serial sweeps
-/// add() each scenario's map in order, parallel sweeps merge() per-unit
-/// reductions in canonical unit order -- the two perform the same element-
-/// wise additions in the same sequence, which is what makes the summed map
-/// bit-identical at every thread count.
+/// covers.  The traffic sweep drivers keep one per protocol and add() each
+/// scenario's map in canonical scenario order -- the serial loop directly,
+/// the executor path from its ordered reduce -- so both perform the same
+/// element-wise additions in the same sequence, which is what makes the
+/// summed map bit-identical at every thread count.  merge() folds two
+/// reductions the same way.
 struct LoadMapReduction {
   LoadMap load;
   std::size_t scenarios = 0;

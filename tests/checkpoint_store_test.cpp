@@ -437,12 +437,12 @@ TEST(AutoCheckpointTest, PersistedCursorsAreMonotonicCanonicalPrefixes) {
     persisted.emplace_back(k, std::move(blob));
   };
 
-  const sim::SweepOutcome outcome = executor.run_ordered(
+  const sim::SweepOutcome outcome = executor.run(
       kUnits,
       [](std::size_t, sim::WorkerContext&) {
         std::this_thread::sleep_for(std::chrono::microseconds(300));
       },
-      [&](std::size_t unit) { sum += unit; }, control, ckpt);
+      control, {.reduce = [&](std::size_t unit) { sum += unit; }, .checkpoint = &ckpt});
 
   EXPECT_TRUE(outcome.complete());
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kUnits) * (kUnits - 1) / 2);
@@ -474,12 +474,12 @@ TEST(AutoCheckpointTest, FailuresAreCountedNeverFatal) {
   };
   ckpt.persist = [](std::size_t, std::string&&) {};
 
-  const sim::SweepOutcome outcome = executor.run_ordered(
+  const sim::SweepOutcome outcome = executor.run(
       200,
       [](std::size_t, sim::WorkerContext&) {
         std::this_thread::sleep_for(std::chrono::microseconds(300));
       },
-      [&](std::size_t unit) { sum += unit; }, control, ckpt);
+      control, {.reduce = [&](std::size_t unit) { sum += unit; }, .checkpoint = &ckpt});
 
   // Checkpointing is durability only: the sweep completes, results are
   // intact, the failures are merely counted.

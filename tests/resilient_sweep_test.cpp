@@ -227,12 +227,12 @@ TEST(ControlledSweepTest, BudgetTruncatesToTheExactPrefix) {
 
     std::atomic<std::size_t> ran{0};
     ReduceLog log;
-    const SweepOutcome outcome = executor.run_ordered(
+    const SweepOutcome outcome = executor.run(
         100,
         [&](std::size_t, WorkerContext&) {
           ran.fetch_add(1, std::memory_order_relaxed);
         },
-        log.fn(), control, /*seed=*/1);
+        control, {.seed = 1, .reduce = log.fn()});
 
     EXPECT_EQ(outcome.stop_reason, StopReason::kBudget) << threads;
     EXPECT_EQ(outcome.completed_units, 13u) << threads;
@@ -268,8 +268,8 @@ TEST(ControlledSweepTest, BudgetLargerThanUnitCountCompletes) {
   RunControl control;
   control.set_unit_budget(1000);
   ReduceLog log;
-  const SweepOutcome outcome = executor.run_ordered(
-      10, [](std::size_t, WorkerContext&) {}, log.fn(), control);
+  const SweepOutcome outcome = executor.run(
+      10, [](std::size_t, WorkerContext&) {}, control, {.reduce = log.fn()});
   EXPECT_EQ(outcome.stop_reason, StopReason::kCompleted);
   EXPECT_TRUE(outcome.complete());
   EXPECT_EQ(outcome.completed_units, 10u);
@@ -310,12 +310,12 @@ TEST(ControlledSweepTest, AlreadyExpiredDeadlineRunsNothing) {
   control.set_deadline(RunControl::Clock::now() - std::chrono::seconds(1));
   std::atomic<std::size_t> ran{0};
   ReduceLog log;
-  const SweepOutcome outcome = executor.run_ordered(
+  const SweepOutcome outcome = executor.run(
       1000,
       [&](std::size_t, WorkerContext&) {
         ran.fetch_add(1, std::memory_order_relaxed);
       },
-      log.fn(), control);
+      control, {.reduce = log.fn()});
   EXPECT_EQ(outcome.stop_reason, StopReason::kDeadline);
   EXPECT_EQ(outcome.completed_units, 0u);
   EXPECT_EQ(ran.load(), 0u);
@@ -329,12 +329,12 @@ TEST(ControlledSweepTest, MidSweepDeadlineDrainsToAPrefix) {
   RunControl control;
   control.set_timeout(std::chrono::milliseconds(50));
   ReduceLog log;
-  const SweepOutcome outcome = executor.run_ordered(
+  const SweepOutcome outcome = executor.run(
       10000,
       [&](std::size_t, WorkerContext&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       },
-      log.fn(), control);
+      control, {.reduce = log.fn()});
   EXPECT_EQ(outcome.stop_reason, StopReason::kDeadline);
   EXPECT_LT(outcome.completed_units, 10000u);
   EXPECT_TRUE(log.is_prefix(outcome.completed_units));
@@ -348,13 +348,13 @@ TEST(ControlledSweepTest, CancelFromInsideAUnitDrainsToAPrefix) {
     SweepExecutor executor(threads);
     RunControl control;
     ReduceLog log;
-    const SweepOutcome outcome = executor.run_ordered(
+    const SweepOutcome outcome = executor.run(
         10000,
         [&](std::size_t unit, WorkerContext&) {
           std::this_thread::sleep_for(std::chrono::microseconds(100));
           if (unit == 20) control.cancel();
         },
-        log.fn(), control);
+        control, {.reduce = log.fn()});
     EXPECT_EQ(outcome.stop_reason, StopReason::kCancelled) << threads;
     // Unit 20 ran (it did the cancelling), so the prefix covers it; workers
     // observe the flag at the next claim, so the prefix stays small.
@@ -372,12 +372,12 @@ TEST(ControlledSweepTest, CancelFromAnotherThreadStopsTheSweep) {
     control.cancel();
   });
   ReduceLog log;
-  const SweepOutcome outcome = executor.run_ordered(
+  const SweepOutcome outcome = executor.run(
       1000000,
       [&](std::size_t, WorkerContext&) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       },
-      log.fn(), control);
+      control, {.reduce = log.fn()});
   canceller.join();
   EXPECT_EQ(outcome.stop_reason, StopReason::kCancelled);
   EXPECT_LT(outcome.completed_units, 1000000u);
@@ -412,8 +412,8 @@ TEST(ControlledSweepTest, StopPolicyTruncatesAtTheFailingUnit) {
     control.set_fault_plan(&faults);
 
     ReduceLog log;
-    const SweepOutcome outcome = executor.run_ordered(
-        200, [](std::size_t, WorkerContext&) {}, log.fn(), control, /*seed=*/7);
+    const SweepOutcome outcome = executor.run(
+        200, [](std::size_t, WorkerContext&) {}, control, {.seed = 7, .reduce = log.fn()});
 
     EXPECT_EQ(outcome.stop_reason, StopReason::kUnitError) << threads;
     EXPECT_EQ(outcome.completed_units, 23u) << threads;
@@ -427,8 +427,8 @@ TEST(ControlledSweepTest, StopPolicyTruncatesAtTheFailingUnit) {
 
     // The executor survives and the control can drive a clean follow-up run.
     control.set_fault_plan(nullptr);
-    const SweepOutcome clean = executor.run_ordered(
-        5, [](std::size_t, WorkerContext&) {}, log.fn(), control);
+    const SweepOutcome clean = executor.run(
+        5, [](std::size_t, WorkerContext&) {}, control, {.reduce = log.fn()});
     EXPECT_EQ(clean.stop_reason, StopReason::kCompleted);
   }
 }
@@ -444,12 +444,12 @@ TEST(ControlledSweepTest, ContinuePolicySkipsFailedUnitsAndFinishes) {
 
     std::atomic<std::size_t> ran{0};
     ReduceLog log;
-    const SweepOutcome outcome = executor.run_ordered(
+    const SweepOutcome outcome = executor.run(
         60,
         [&](std::size_t, WorkerContext&) {
           ran.fetch_add(1, std::memory_order_relaxed);
         },
-        log.fn(), control);
+        control, {.reduce = log.fn()});
 
     // kContinue reaches the end: the sweep is "completed with errors".
     EXPECT_EQ(outcome.stop_reason, StopReason::kCompleted) << threads;
@@ -469,6 +469,36 @@ TEST(ControlledSweepTest, ContinuePolicySkipsFailedUnitsAndFinishes) {
     }
     // 57 successful + 3 faulted claims were all attempted.
     EXPECT_EQ(ran.load(), 57u) << threads;  // fn not reached for faulted units
+  }
+}
+
+TEST(ControlledSweepTest, RecordedErrorsAreTheLowestFailingUnits) {
+  // More failures than the outcome records: whichever order the workers
+  // finish in, the recorded list is the lowest units, and throw_if_failed
+  // rethrows the lowest of them with its original exception nested.
+  constexpr std::size_t kUnits = 3 * SweepOutcome::kMaxRecordedErrors;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SweepExecutor executor(threads);
+    RunControl control;
+    control.set_error_policy(UnitErrorPolicy::kContinue);
+    const SweepOutcome outcome = executor.run(
+        kUnits,
+        [](std::size_t unit, WorkerContext&) {
+          throw std::runtime_error("boom " + std::to_string(unit));
+        },
+        control);
+    EXPECT_EQ(outcome.error_count, kUnits) << threads;
+    ASSERT_EQ(outcome.errors.size(), SweepOutcome::kMaxRecordedErrors) << threads;
+    for (std::size_t i = 0; i < outcome.errors.size(); ++i) {
+      EXPECT_EQ(outcome.errors[i].unit, i) << threads;
+    }
+    try {
+      sim::throw_if_failed(outcome);
+      FAIL() << "expected SweepUnitError @ " << threads;
+    } catch (const sim::SweepUnitError& e) {
+      EXPECT_EQ(e.unit(), 0u) << threads;
+      EXPECT_THROW(std::rethrow_if_nested(e), std::runtime_error);
+    }
   }
 }
 
@@ -493,13 +523,12 @@ TEST(ControlledSweepTest, ReduceFailureTruncatesUnderEveryPolicy) {
   RunControl control;
   control.set_error_policy(UnitErrorPolicy::kContinue);
   std::vector<std::size_t> reduced;
-  const SweepOutcome outcome = executor.run_ordered(
-      50, [](std::size_t, WorkerContext&) {},
-      [&](std::size_t unit) {
-        if (unit == 12) throw std::runtime_error("reduce died");
-        reduced.push_back(unit);
-      },
-      control);
+  const SweepOutcome outcome = executor.run(
+      50, [](std::size_t, WorkerContext&) {}, control,
+      {.reduce = [&](std::size_t unit) {
+         if (unit == 12) throw std::runtime_error("reduce died");
+         reduced.push_back(unit);
+       }});
   EXPECT_EQ(outcome.stop_reason, StopReason::kUnitError);
   EXPECT_EQ(outcome.completed_units, 12u);
   ASSERT_EQ(reduced.size(), 12u);
@@ -524,13 +553,14 @@ TEST(ControlledSweepTest, StallsDoNotChangeResults) {
     }
     std::vector<double> draws(40);
     std::vector<double> stream;
-    const SweepOutcome outcome = executor.run_ordered(
+    const SweepOutcome outcome = executor.run(
         40,
         [&](std::size_t unit, WorkerContext& ctx) {
           draws[unit] = ctx.rng().unit();
         },
-        [&](std::size_t unit) { stream.push_back(draws[unit]); }, control,
-        /*seed=*/99);
+        control,
+        {.seed = 99,
+         .reduce = [&](std::size_t unit) { stream.push_back(draws[unit]); }});
     EXPECT_EQ(outcome.stop_reason, StopReason::kCompleted);
     if (baseline.empty()) {
       baseline = stream;
@@ -541,7 +571,7 @@ TEST(ControlledSweepTest, StallsDoNotChangeResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy entry points keep throwing, now with context.
+// The throwing forms rethrow through throw_if_failed, with context.
 
 TEST(ControlledSweepTest, LegacyRethrowNamesLowestUnitDeterministically) {
   // Two failing units: whatever the thread count claims first, the rethrown

@@ -428,6 +428,81 @@ TEST(StormSweep, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(StormSweep, MatchesTheFullRerouteOracleOnTheSampledFailureSets) {
+  // An independent oracle for the storm cell: draw the sweep's own failure
+  // sets (scenario i from stream split_seed(seed, i)), price them through
+  // the traffic driver's full re-route mode, and fold its rows in scenario
+  // order.  The storm's volume sums, utilization summary and overload/loss
+  // counts must equal those folds bit for bit at every thread count.
+  StormFixture f;
+  // Tighter than the fixture's plan, so re-routed demand overloads links.
+  f.plan = traffic::CapacityPlan::uniform(f.g, 2e4);
+  const SrlgCatalog catalog = net::geographic_srlgs(f.g, 1);
+  const IndependentOutages model = IndependentOutages::uniform(catalog, 0.15);
+  const std::vector<analysis::NamedFactory> protocols = {
+      f.suite.spf(), f.suite.lfa(), f.suite.reconvergence(), f.suite.pr()};
+  StormSweepConfig config;
+  config.scenarios = 120;
+  config.seed = 0x5EED;
+
+  std::vector<EdgeSet> failure_sets;
+  StormSample sample;
+  for (std::size_t i = 0; i < config.scenarios; ++i) {
+    graph::Rng rng(sim::split_seed(config.seed, i));
+    model.sample(rng, sample);
+    failure_sets.push_back(sample.failures);
+  }
+  const auto oracle =
+      analysis::run_traffic_experiment(f.g, f.demand, f.plan, failure_sets, protocols,
+                                       analysis::TrafficSweepMode::kFullReroute);
+
+  struct Folded {
+    double delivered = 0.0;
+    double lost = 0.0;
+    double stranded = 0.0;
+    analysis::RunningSummary utilization;
+    std::size_t overloaded_links = 0;
+    std::size_t overloaded_scenarios = 0;
+    std::size_t lossy_scenarios = 0;
+  };
+  std::vector<Folded> want(protocols.size());
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    for (const auto& row : oracle.protocols[i].per_scenario) {
+      want[i].delivered += row.delivered_pps;
+      want[i].lost += row.lost_pps;
+      want[i].stranded += row.stranded_pps;
+      want[i].utilization.add(row.max_utilization);
+      want[i].overloaded_links += row.overloaded_links;
+      if (row.overloaded_links > 0) ++want[i].overloaded_scenarios;
+      if (row.lost_pps > 0.0) ++want[i].lossy_scenarios;
+    }
+  }
+  // The sample exercises every class the fold counts: stranded demand
+  // (partitions), lost demand (static SPF has no repair at all) and
+  // overloaded links.
+  EXPECT_GT(want[0].lost, 0.0);
+  EXPECT_GT(want[0].stranded, 0.0);
+  EXPECT_GT(want[2].overloaded_scenarios, 0u);
+
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    SweepExecutor executor(threads);
+    const StormExperimentResult storm = analysis::run_storm_experiment(
+        f.g, f.demand, f.plan, model, protocols, config, executor);
+    ASSERT_EQ(storm.scenarios, config.scenarios);
+    ASSERT_EQ(storm.protocols.size(), protocols.size());
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      const auto& got = storm.protocols[i];
+      EXPECT_EQ(got.delivered_pps, want[i].delivered) << got.name << " @ " << threads;
+      EXPECT_EQ(got.lost_pps, want[i].lost) << got.name << " @ " << threads;
+      EXPECT_EQ(got.stranded_pps, want[i].stranded) << got.name << " @ " << threads;
+      EXPECT_TRUE(got.utilization == want[i].utilization) << got.name << " @ " << threads;
+      EXPECT_EQ(got.overloaded_links, want[i].overloaded_links) << got.name;
+      EXPECT_EQ(got.overloaded_scenarios, want[i].overloaded_scenarios) << got.name;
+      EXPECT_EQ(got.lossy_scenarios, want[i].lossy_scenarios) << got.name;
+    }
+  }
+}
+
 TEST(StormSweep, ValidatesItsInputs) {
   StormFixture f;
   graph::Rng catalog_rng(4);

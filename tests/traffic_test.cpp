@@ -753,5 +753,103 @@ TEST(TrafficResilience, InjectedFailureIsContainedWithContext) {
   }
 }
 
+/// `base`, except that building it under a scenario that fails `edge`
+/// throws std::logic_error -- a protocol family that dies mid-unit, after the
+/// protocols listed before it already priced the scenario.
+analysis::NamedFactory throwing_on(graph::EdgeId edge, analysis::NamedFactory base) {
+  return analysis::NamedFactory{
+      "throws-on-edge-" + std::to_string(edge),
+      [edge, base](const net::Network& net) {
+        if (net.failed_links().contains(edge)) {
+          throw std::logic_error("factory refuses edge " + std::to_string(edge));
+        }
+        return base.make(net);
+      }};
+}
+
+TEST(TrafficResilience, ContinuePolicySkipsAFailedScenarioForEveryProtocol) {
+  const auto g = topo::abilene();
+  const analysis::ProtocolSuite suite(g);
+  const auto demand = traffic::uniform_demand(g, 1e4);
+  const auto plan = CapacityPlan::uniform(g, 1e4);
+  const auto scenarios = net::all_single_failures(g);
+  ASSERT_GT(scenarios.size(), 3u);
+  const graph::EdgeId edge = scenarios[3].elements().front();
+  const std::vector<analysis::NamedFactory> protocols = {
+      suite.reconvergence(), throwing_on(edge, suite.pr())};
+
+  // Scenario 3 fails while its second protocol is priced; the first one has
+  // already produced a row by then.  The clean references run the same
+  // protocols without the throw: over every scenario (for the rows) and over
+  // the survivors only (for the summed loads).
+  const auto clean = analysis::run_traffic_experiment(
+      g, demand, plan, scenarios, {suite.reconvergence(), suite.pr()});
+  std::vector<graph::EdgeSet> survivors(scenarios);
+  survivors.erase(survivors.begin() + 3);
+  const auto survivor_run = analysis::run_traffic_experiment(
+      g, demand, plan, survivors, {suite.reconvergence(), suite.pr()});
+
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    sim::SweepExecutor executor(threads);
+    sim::RunControl control;
+    control.set_error_policy(sim::UnitErrorPolicy::kContinue);
+    const auto run = analysis::run_traffic_experiment_resilient(
+        g, demand, plan, scenarios, protocols, executor, control);
+    EXPECT_TRUE(run.complete()) << threads;
+    EXPECT_EQ(run.outcome.completed_units, scenarios.size()) << threads;
+    ASSERT_EQ(run.outcome.error_count, 1u) << threads;
+    EXPECT_EQ(run.outcome.first_error()->unit, 3u) << threads;
+
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      const auto& rows = run.result.protocols[i].per_scenario;
+      ASSERT_EQ(rows.size(), run.outcome.completed_units - run.outcome.error_count)
+          << protocols[i].name << " @ " << threads;
+      for (std::size_t s = 0, row = 0; s < scenarios.size(); ++s) {
+        if (s == 3) continue;
+        EXPECT_EQ(rows[row++], clean.protocols[i].per_scenario[s])
+            << protocols[i].name << " scenario " << s << " @ " << threads;
+      }
+      EXPECT_EQ(run.result.protocols[i].total_load, survivor_run.protocols[i].total_load)
+          << protocols[i].name << " @ " << threads;
+      EXPECT_EQ(run.result.protocols[i].rerouted_flows,
+                survivor_run.protocols[i].rerouted_flows)
+          << protocols[i].name << " @ " << threads;
+    }
+  }
+}
+
+TEST(TrafficResilience, ThrowingFormNestsTheOriginalException) {
+  const auto g = topo::abilene();
+  const analysis::ProtocolSuite suite(g);
+  const auto demand = traffic::uniform_demand(g, 1e4);
+  const auto plan = CapacityPlan::uniform(g, 1e4);
+  const auto scenarios = net::all_single_failures(g);
+  const graph::EdgeId edge = scenarios[3].elements().front();
+  const std::vector<analysis::NamedFactory> protocols = {
+      suite.reconvergence(), throwing_on(edge, suite.pr())};
+
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    sim::SweepExecutor executor(threads);
+    try {
+      (void)analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols,
+                                             executor);
+      FAIL() << "expected SweepUnitError @ " << threads;
+    } catch (const sim::SweepUnitError& e) {
+      EXPECT_EQ(e.unit(), 3u) << threads;
+      EXPECT_NE(std::string(e.what()).find("factory refuses edge"), std::string::npos);
+      // The factory's own exception rides along as the nested exception.
+      bool nested_seen = false;
+      try {
+        std::rethrow_if_nested(e);
+      } catch (const std::logic_error& inner) {
+        nested_seen = true;
+        EXPECT_NE(std::string(inner.what()).find("factory refuses edge"),
+                  std::string::npos);
+      }
+      EXPECT_TRUE(nested_seen) << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pr
