@@ -58,7 +58,10 @@ class PacketRecycling final : public net::ForwardingProtocol {
   [[nodiscard]] PrVariant variant() const noexcept { return variant_; }
 
   /// Failure encounters that triggered the termination comparison; exposed so
-  /// tests can assert protocol dynamics.
+  /// tests can assert protocol dynamics.  Counts only decisions actually
+  /// made: a walk that loops until the TTL guard has most of its period
+  /// replayed by sim::ForwardingEngine::run without calling forward(), so its
+  /// encounters there are not counted.
   [[nodiscard]] std::uint64_t termination_checks() const noexcept {
     return termination_checks_;
   }

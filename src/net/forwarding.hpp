@@ -50,6 +50,24 @@ struct ForwardingDecision {
 /// locality: decisions may depend only on the arguments (which include the
 /// deciding node's view of its *incident* link state via `net`) and on state
 /// installed before the failures occurred (routing / cycle-following tables).
+///
+/// The decision contract, precisely.  A decision may read `at`,
+/// `arrived_over`, the header fields `destination`, `pr_bit`, `dd`,
+/// `fcp_failures` and `traffic_class`, the link state, and tables installed
+/// before the failures.  It must never read `packet.ttl` or `packet.id`.
+/// Internal mutable state may memoize (FCP's LRU of SPF trees) or count
+/// (PacketRecycling::termination_checks), but must never change a decision.
+/// So two visits to the same (at, arrived_over, pr_bit, dd, fcp_failures)
+/// within one flow decide the same way, and sim::ForwardingEngine::run
+/// relies on that: once a walk repeats that state it replays the period
+/// instead of calling forward() again.  It decides one period before
+/// replaying and throws std::logic_error if the state does not come back,
+/// which catches a contract breach that shows within that period.
+/// Every shipped implementation complies: StaticSpf, ReconvergedRouting,
+/// TimedReconvergence (its tables switch only between walks, in the event
+/// simulator), LfaRouting, FcpRouting, LinkStateIgp's data plane (likewise),
+/// PacketRecycling, PolicyGatedRecycling, and the analysis suite's
+/// BorrowedProtocol and PostConvergenceLfa adapters.
 class ForwardingProtocol {
  public:
   virtual ~ForwardingProtocol() = default;
@@ -101,7 +119,10 @@ struct PathTrace {
 /// Drives one packet from `source` to `destination` under `protocol`.
 /// `ttl` of 0 selects default_ttl(); `traffic_class` feeds Section-7 policy
 /// gating.  Throws std::logic_error if the protocol violates the forwarding
-/// contract (forwards over a down link or away from the deciding node).
+/// contract (forwards over a down link or away from the deciding node).  A
+/// walk that loops until the TTL guard replays its period rather than calling
+/// the protocol at every hop (sim::ForwardingEngine::run); the trace is the
+/// same as a hop-by-hop walk's.
 [[nodiscard]] PathTrace route_packet(const Network& net, ForwardingProtocol& protocol,
                                      NodeId source, NodeId destination,
                                      std::uint32_t ttl = 0,

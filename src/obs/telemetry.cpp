@@ -28,6 +28,7 @@ const char* to_string(Counter c) noexcept {
     case Counter::kFlowsDelivered: return "flows_delivered";
     case Counter::kFlowsDropped: return "flows_dropped";
     case Counter::kForwardHops: return "forward_hops";
+    case Counter::kForwardDecisions: return "forward_decisions";
     case Counter::kCycleFollowFlows: return "cycle_follow_flows";
     case Counter::kCycleFollowHops: return "cycle_follow_hops";
     case Counter::kUnitsExecuted: return "units_executed";
@@ -96,6 +97,9 @@ std::string telemetry_json(const Registry& registry, double elapsed_ms, int inde
   append_fmt(out, "%s\"affected_flow_fraction\": %.6f,\n", pad2.c_str(),
              ratio(total.get(Counter::kIncidenceAffectedFlows),
                    total.get(Counter::kIncidenceUniverseFlows)));
+  append_fmt(out, "%s\"decision_fraction\": %.6f,\n", pad2.c_str(),
+             ratio(total.get(Counter::kForwardDecisions),
+                   total.get(Counter::kForwardHops)));
 
   out += pad2 + "\"counters\": {\n";
   for (std::size_t i = 0; i < kCounterCount; ++i) {

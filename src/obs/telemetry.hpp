@@ -60,6 +60,7 @@ enum class Counter : std::uint16_t {
   kFlowsDelivered,
   kFlowsDropped,
   kForwardHops,
+  kForwardDecisions,  ///< hops a protocol decided (the rest were replayed)
   kCycleFollowFlows,  ///< flows that ended in PR cycle-follow mode (pr_bit set)
   kCycleFollowHops,   ///< hops of those flows
   // sim::SweepExecutor -- scheduling.
@@ -246,9 +247,10 @@ class Registry {
 
 /// The "telemetry" JSON object every instrumented bench emits: derived rates
 /// first (cache hit rate, SPF repair fraction, FCP memo hit rate, affected
-/// flow fraction), then raw counter groups, phase wall times, and a
-/// per-worker utilization table (busy phase-kUnit time over `elapsed_ms` of
-/// wall clock; elapsed_ms <= 0 suppresses the utilization columns).  `indent`
+/// flow fraction, decision fraction = forward decisions / forward hops), then
+/// raw counter groups, phase wall times, and a per-worker utilization table
+/// (busy phase-kUnit time over `elapsed_ms` of wall clock; elapsed_ms <= 0
+/// suppresses the utilization columns).  `indent`
 /// spaces prefix every line after the first so the object nests under any
 /// bench's hand-rolled emitter.
 [[nodiscard]] std::string telemetry_json(const Registry& registry, double elapsed_ms,

@@ -92,6 +92,7 @@ void run_flow_batch(const Network& net, ForwardingProtocol& protocol,
   std::uint64_t obs_delivered = 0;
   std::uint64_t obs_dropped = 0;
   std::uint64_t obs_hops = 0;
+  std::uint64_t obs_decisions = 0;
   std::uint64_t obs_cycle_flows = 0;
   std::uint64_t obs_cycle_hops = 0;
   FlowState fs;  // recycled across flows; FCP-list capacity survives reset()
@@ -117,6 +118,7 @@ void run_flow_batch(const Network& net, ForwardingProtocol& protocol,
     if (outcome.status == DeliveryStatus::kDelivered) ++delivered;
     if (observed) {
       obs_hops += fs.hops;
+      obs_decisions += fs.hops - outcome.replayed_hops;
       if (outcome.status == DeliveryStatus::kDelivered) {
         ++obs_delivered;
       } else {
@@ -137,6 +139,7 @@ void run_flow_batch(const Network& net, ForwardingProtocol& protocol,
     obs::count(obs::Counter::kFlowsDelivered, obs_delivered);
     obs::count(obs::Counter::kFlowsDropped, obs_dropped);
     obs::count(obs::Counter::kForwardHops, obs_hops);
+    obs::count(obs::Counter::kForwardDecisions, obs_decisions);
     obs::count(obs::Counter::kCycleFollowFlows, obs_cycle_flows);
     obs::count(obs::Counter::kCycleFollowHops, obs_cycle_hops);
   }

@@ -15,12 +15,17 @@
 //                               the same decide/commit steps with timing and
 //                               queueing (net/event_sim.cpp).
 //
-// Because all three call decide()/commit(), a timed flight and a synchronous
-// walk of the same flow can never disagree on status, hops or cost.
+// route_packet and route_batch run a flow through ForwardingEngine::run, which
+// replays a looping walk's period instead of re-deciding it (see run()); the
+// event simulator calls decide()/commit() once per hop, and that per-hop walk
+// is the reference run() is tested against.  Every hop, replayed or not, goes
+// through commit(), so a timed flight and a synchronous walk of the same flow
+// can never disagree on status, hops or cost.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "net/forwarding.hpp"
@@ -79,6 +84,9 @@ struct HopDecision {
 struct FlowOutcome {
   DeliveryStatus status = DeliveryStatus::kDropped;
   DropReason reason = DropReason::kNone;
+  /// Hops run() committed from a recorded period instead of a protocol
+  /// decision; the flow's other hops were each decided.
+  std::uint32_t replayed_hops = 0;
 };
 
 /// The single hop-execution core.  Cheap to construct (two pointers); holds no
@@ -105,18 +113,35 @@ class ForwardingEngine {
   /// node the flow moves to (the source is already in `fs`, so it is not
   /// reported).  Statically dispatched so stats-only sweeps pay nothing for
   /// the hook.
+  ///
+  /// Period replay.  A decision reads only the flow's decision state (see
+  /// DecisionState below), so once that state repeats, the walk repeats the
+  /// same hops until the TTL guard drops it.  From hop kFirstMark on, run()
+  /// watches for a repeat with Brent's algorithm: one compare per hop
+  /// against a mark that moves to the current state at hops 8, 16, 32, ...
+  /// When the state returns to the mark after lambda hops, run() decides one
+  /// more period, recording its darts, and throws std::logic_error if the
+  /// state does not come back (the protocol read something outside its
+  /// contract).  It then commits floor(ttl / lambda) whole periods from the
+  /// record without calling the protocol, and decides the last ttl mod
+  /// lambda hops normally.
+  ///
+  /// Every hop, replayed or decided, goes through commit() and `on_visit`,
+  /// so the sink sees each hop's position, dart, hop count, TTL and cost sum
+  /// exactly as the hop-by-hop decide()/commit() walk produces them, which
+  /// stays the reference.  The header (PR/DD bits, FCP list) is exact only
+  /// when run() returns: during a replayed period it holds the state the
+  /// period starts from.  No sink in the library reads it mid-walk.
   template <typename NodeSink>
   FlowOutcome run(FlowState& fs, NodeSink&& on_visit) const {
     while (true) {
       const HopDecision d = decide(fs);
-      if (d.kind == HopDecision::Kind::kDelivered) {
-        return {DeliveryStatus::kDelivered, DropReason::kNone};
-      }
-      if (d.kind == HopDecision::Kind::kDropped) {
-        return {DeliveryStatus::kDropped, d.reason};
-      }
+      if (d.kind != HopDecision::Kind::kForward) return outcome_of(d, 0);
       commit(fs, d.out_dart);
       on_visit(fs.at);
+      if (fs.hops >= kFirstMark) [[unlikely]] {
+        return run_detecting(fs, on_visit);
+      }
     }
   }
 
@@ -128,6 +153,99 @@ class ForwardingEngine {
   [[nodiscard]] ForwardingProtocol& protocol() const noexcept { return *protocol_; }
 
  private:
+  /// The part of a flow a protocol decision may read that changes along a
+  /// walk (see net::ForwardingProtocol).  The node is implied: after a hop it
+  /// is the head of arrived_over.
+  struct DecisionState {
+    DartId arrived_over = graph::kInvalidDart;
+    bool pr_bit = false;
+    std::uint32_t dd = 0;
+    std::vector<graph::EdgeId> fcp_failures;
+
+    /// arrived_over differs on almost every hop, so it is compared first and
+    /// on its own (a wider load spanning it and the node would stall on the
+    /// two narrower stores commit() just made).
+    [[nodiscard]] bool matches(const FlowState& fs) const noexcept {
+      return fs.arrived_over == arrived_over && fs.packet.pr_bit == pr_bit &&
+             fs.packet.dd == dd && fs.packet.fcp_failures == fcp_failures;
+    }
+
+    void assign(const FlowState& fs) {
+      arrived_over = fs.arrived_over;
+      pr_bit = fs.packet.pr_bit;
+      dd = fs.packet.dd;
+      fcp_failures = fs.packet.fcp_failures;  // allocates only for FCP lists
+    }
+  };
+
+  /// Hops a walk takes before run() starts watching for a repeated state:
+  /// shorter walks, which most delivered walks are, pay one compare per hop.
+  static constexpr std::uint32_t kFirstMark = 8;
+
+  /// The rest of run() for a walk that reached kFirstMark hops.  Out of line
+  /// so that run()'s loop compiles as tight as a plain decide/commit loop.
+  template <typename NodeSink>
+  [[gnu::noinline]] FlowOutcome run_detecting(FlowState& fs, NodeSink& on_visit) const {
+    HopDecision last;
+    const auto step = [&] {
+      last = decide(fs);
+      if (last.kind != HopDecision::Kind::kForward) return false;
+      commit(fs, last.out_dart);
+      on_visit(fs.at);
+      return true;
+    };
+
+    // Brent's algorithm: decide hop by hop until the state returns to the
+    // mark, which moves to the current state whenever the hops since it
+    // reach the next power of two.
+    DecisionState mark;
+    mark.assign(fs);
+    std::uint32_t lambda = 0;  // hops since the mark moved
+    for (std::uint64_t power = kFirstMark;;) {
+      if (!step()) return outcome_of(last, 0);
+      ++lambda;
+      if (mark.matches(fs)) break;
+      if (lambda == power) {
+        mark.assign(fs);
+        power *= 2;
+        lambda = 0;
+      }
+    }
+
+    // The walk is periodic with period lambda: decide one period to record it.
+    std::vector<DartId> period;
+    period.reserve(lambda);
+    for (std::uint32_t i = 0; i < lambda; ++i) {
+      if (!step()) return outcome_of(last, 0);
+      period.push_back(last.out_dart);
+    }
+    if (!mark.matches(fs)) {
+      throw std::logic_error(
+          "ForwardingEngine: a repeated decision state led to different hops "
+          "(the protocol reads state outside the ForwardingProtocol contract)");
+    }
+
+    // Replay whole periods, then decide the last ttl mod lambda hops; the TTL
+    // guard then drops the flow.
+    const std::uint32_t periods = fs.packet.ttl / lambda;
+    for (std::uint32_t p = 0; p < periods; ++p) {
+      for (const DartId dart : period) {
+        commit(fs, dart);
+        on_visit(fs.at);
+      }
+    }
+    while (step()) {
+    }
+    return outcome_of(last, periods * lambda);
+  }
+
+  static FlowOutcome outcome_of(const HopDecision& d, std::uint32_t replayed_hops) {
+    if (d.kind == HopDecision::Kind::kDelivered) {
+      return {DeliveryStatus::kDelivered, DropReason::kNone, replayed_hops};
+    }
+    return {DeliveryStatus::kDropped, d.reason, replayed_hops};
+  }
+
   const Network* net_;
   ForwardingProtocol* protocol_;
 };

@@ -81,11 +81,13 @@ TEST(Network, DelayDefaultsAndOverrides) {
 }
 
 // A trivial protocol for exercising the walker contract: takes the first
-// usable interface, avoiding the one it arrived on when possible.
+// usable interface, avoiding the one it arrived on when possible.  Counts its
+// decisions.
 class HotPotato final : public ForwardingProtocol {
  public:
   ForwardingDecision forward(const Network& net, NodeId at, DartId arrived_over,
                              Packet& packet) override {
+    ++calls;
     if (at == packet.destination) return ForwardingDecision::deliver();
     DartId fallback = graph::kInvalidDart;
     for (DartId d : net.graph().out_darts(at)) {
@@ -100,6 +102,8 @@ class HotPotato final : public ForwardingProtocol {
     return ForwardingDecision::drop(DropReason::kNoRoute);
   }
   [[nodiscard]] std::string_view name() const noexcept override { return "hot-potato"; }
+
+  std::size_t calls = 0;
 };
 
 // Deliberately broken: forwards over failed links.
@@ -126,6 +130,18 @@ TEST(RoutePacket, DeliversOnALine) {
   EXPECT_EQ(trace.nodes.size(), 3U);
 }
 
+TEST(RoutePacket, DeliveredWalkDecidesEveryHop) {
+  // Long enough for the engine to watch for a repeated state: a walk that
+  // reaches its destination never repeats one, so every hop is decided.
+  const auto g = graph::ring(24);
+  Network net(g);
+  HotPotato proto;
+  const auto trace = route_packet(net, proto, 0, 12);
+  ASSERT_TRUE(trace.delivered());
+  EXPECT_EQ(trace.hops, 12U);
+  EXPECT_EQ(proto.calls, trace.hops);
+}
+
 TEST(RoutePacket, SourceEqualsDestination) {
   const auto g = graph::ring(3);
   Network net(g);
@@ -136,11 +152,13 @@ TEST(RoutePacket, SourceEqualsDestination) {
   EXPECT_DOUBLE_EQ(trace.cost, 0.0);
 }
 
-// Always bounces the packet straight back where it came from.
+// Always bounces the packet straight back where it came from.  Counts its
+// decisions.
 class Bouncer final : public ForwardingProtocol {
  public:
   ForwardingDecision forward(const Network& net, NodeId at, DartId arrived_over,
                              Packet& packet) override {
+    ++calls;
     if (at == packet.destination) return ForwardingDecision::deliver();
     const DartId out = arrived_over == graph::kInvalidDart
                            ? net.graph().out_darts(at)[0]
@@ -148,6 +166,8 @@ class Bouncer final : public ForwardingProtocol {
     return ForwardingDecision::forward(out);
   }
   [[nodiscard]] std::string_view name() const noexcept override { return "bouncer"; }
+
+  std::size_t calls = 0;
 };
 
 TEST(RoutePacket, TtlGuardsAgainstLoops) {
@@ -158,6 +178,74 @@ TEST(RoutePacket, TtlGuardsAgainstLoops) {
   EXPECT_FALSE(trace.delivered());
   EXPECT_EQ(trace.drop_reason, DropReason::kTtlExpired);
   EXPECT_EQ(trace.hops, 8U);
+
+  // The walk repeats its state from the third hop on, so a thousand times
+  // the TTL replays the ping-pong instead of deciding it: 8000 hops cost
+  // fewer decisions than 8 hops plus 8.
+  Bouncer long_proto;
+  const auto long_trace = route_packet(net, long_proto, 0, 2, 8000);
+  EXPECT_EQ(long_trace.drop_reason, DropReason::kTtlExpired);
+  EXPECT_EQ(long_trace.hops, 8000U);
+  EXPECT_DOUBLE_EQ(long_trace.cost, 8000.0);
+  ASSERT_EQ(long_trace.nodes.size(), 8001U);
+  const NodeId bounce = long_trace.nodes[1];
+  EXPECT_NE(bounce, 0U);
+  for (std::size_t i = 0; i < long_trace.nodes.size(); ++i) {
+    ASSERT_EQ(long_trace.nodes[i], i % 2 == 0 ? 0U : bounce) << "hop " << i;
+  }
+  EXPECT_EQ(long_trace.final_packet.ttl, 0U);
+  EXPECT_LT(long_proto.calls, proto.calls + 8);
+}
+
+// Breaks the decision contract: its internal state changes its decisions.
+// It bounces for its first `switch_at` decisions, then circles the ring.
+class Drifter final : public ForwardingProtocol {
+ public:
+  explicit Drifter(std::size_t switch_at) : switch_at_(switch_at) {}
+
+  ForwardingDecision forward(const Network& net, NodeId at, DartId arrived_over,
+                             Packet& packet) override {
+    if (at == packet.destination) return ForwardingDecision::deliver();
+    if (arrived_over == graph::kInvalidDart) {
+      ++calls_;
+      return ForwardingDecision::forward(net.graph().out_darts(at)[0]);
+    }
+    if (++calls_ <= switch_at_) {
+      return ForwardingDecision::forward(graph::reverse(arrived_over));
+    }
+    for (DartId d : net.graph().out_darts(at)) {
+      if (d != graph::reverse(arrived_over)) return ForwardingDecision::forward(d);
+    }
+    return ForwardingDecision::drop(DropReason::kNoRoute);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override { return "drifter"; }
+
+ private:
+  std::size_t switch_at_;
+  std::size_t calls_ = 0;
+};
+
+TEST(RoutePacket, DecisionOutsideTheContractIsCaught) {
+  // A triangle plus an isolated destination.  While the drifter bounces, its
+  // state repeats.  When it turns inside the period run() decides to record
+  // before replaying, the state does not come back, and run() throws rather
+  // than replay a period the protocol no longer follows.  (A later turn is
+  // not caught: the check covers that one period.)
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  Network net(g);
+  std::size_t caught = 0;
+  for (std::size_t switch_at = 1; switch_at <= 64; ++switch_at) {
+    Drifter proto(switch_at);
+    try {
+      (void)route_packet(net, proto, 0, 3);
+    } catch (const std::logic_error&) {
+      ++caught;
+    }
+  }
+  EXPECT_GE(caught, 1U);
 }
 
 TEST(RoutePacket, ProtocolViolationThrows) {

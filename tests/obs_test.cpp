@@ -138,10 +138,15 @@ TEST(ObsTelemetryJson, EmitsDerivedRatesCountersAndPerWorkerRows) {
   registry.worker(1).add(Counter::kSpfFullBuilds, 1);
   registry.worker(1).add(Counter::kUnitsExecuted, 10);
   registry.worker(1).add_phase(Phase::kUnit, 5'000'000);
+  registry.worker(0).add(Counter::kForwardHops, 6);
+  registry.worker(1).add(Counter::kForwardHops, 2);
+  registry.worker(1).add(Counter::kForwardDecisions, 2);
 
   const std::string json = obs::telemetry_json(registry, /*elapsed_ms=*/10.0);
   EXPECT_NE(json.find("\"cache_hit_rate\": 0.900000"), std::string::npos) << json;
   EXPECT_NE(json.find("\"repair_fraction\": 0.750000"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"decision_fraction\": 0.250000"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"forward_decisions\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"route_cache_hits\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
@@ -397,6 +402,47 @@ TEST(ObsDeterminism, TelemetryOnAndOffAreByteIdenticalAcrossThreadCounts) {
     EXPECT_GE(total.get(Counter::kCheckpointBytes), observed.checkpoint.size());
 #endif
     EXPECT_GT(trace.size(), 0u);
+  }
+}
+
+TEST(ObsDeterminism, ForwardDecisionsRepeatExactlyAcrossThreadCounts) {
+  // PR and LFA loop until the TTL guard on the storms that partition
+  // Abilene, so the engine replays part of their hops instead of deciding
+  // them.  Which hops are replayed is a function of the flow alone: the
+  // decision count repeats exactly at every thread count, and counting it
+  // changes no result bit.
+  StormFixture f;
+  f.protocols = {f.suite.pr(), f.suite.lfa()};
+  std::string baseline_checkpoint;
+  std::uint64_t baseline_hops = 0;
+  std::uint64_t baseline_decisions = 0;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    sim::SweepExecutor plain_executor(threads);
+    const analysis::StormRunResult plain = f.run(plain_executor);
+    ASSERT_TRUE(plain.complete());
+
+    Registry registry;
+    sim::SweepExecutor executor(threads);
+    executor.set_telemetry(sim::SweepTelemetry{&registry, nullptr, nullptr});
+    const analysis::StormRunResult observed = f.run(executor);
+    ASSERT_TRUE(observed.complete());
+    EXPECT_EQ(observed.checkpoint, plain.checkpoint) << threads << " threads";
+    if (baseline_checkpoint.empty()) baseline_checkpoint = plain.checkpoint;
+    EXPECT_EQ(plain.checkpoint, baseline_checkpoint) << threads << " threads";
+
+#if !defined(PR_OBS_DISABLED)
+    const Counters total = registry.aggregate();
+    const std::uint64_t hops = total.get(Counter::kForwardHops);
+    const std::uint64_t decisions = total.get(Counter::kForwardDecisions);
+    EXPECT_GT(decisions, 0u);
+    EXPECT_LT(decisions, hops) << "no hop was replayed";
+    if (baseline_hops == 0) {
+      baseline_hops = hops;
+      baseline_decisions = decisions;
+    }
+    EXPECT_EQ(hops, baseline_hops) << threads << " threads";
+    EXPECT_EQ(decisions, baseline_decisions) << threads << " threads";
+#endif
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/pr_protocol.hpp"
 #include "embed/faces.hpp"
 #include "graph/connectivity.hpp"
+#include "reference_walk.hpp"
 #include "topo/topologies.hpp"
 
 namespace pr {
@@ -21,6 +22,27 @@ using core::PrVariant;
 using graph::DartId;
 using graph::Graph;
 using graph::NodeId;
+
+/// Counts the forward() calls of the protocol it wraps.
+class CountingProtocol final : public net::ForwardingProtocol {
+ public:
+  explicit CountingProtocol(net::ForwardingProtocol& inner) : inner_(&inner) {}
+
+  [[nodiscard]] net::ForwardingDecision forward(const net::Network& net, NodeId at,
+                                                DartId arrived_over,
+                                                net::Packet& packet) override {
+    ++calls;
+    return inner_->forward(net, at, arrived_over, packet);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_->name();
+  }
+
+  std::size_t calls = 0;
+
+ private:
+  net::ForwardingProtocol* inner_;
+};
 
 class PaperExample : public ::testing::Test {
  protected:
@@ -212,9 +234,29 @@ TEST_F(PaperExample, Section43ScenarioLoopsUnderOneBitVariant) {
   network.fail_link(*g_.find_edge(node("D"), node("E")));
   network.fail_link(*g_.find_edge(node("B"), node("C")));
   PacketRecycling pr(routes_, cycles_, PrVariant::kSingleBit);
-  const auto trace = net::route_packet(network, pr, node("A"), node("F"));
+  CountingProtocol counted(pr);
+  const auto trace = net::route_packet(network, counted, node("A"), node("F"));
   EXPECT_FALSE(trace.delivered());
   EXPECT_EQ(trace.drop_reason, net::DropReason::kTtlExpired);
+
+  // At 100x the default TTL the loop is replayed, not re-decided: the walk
+  // equals the hop-by-hop reference, yet costs barely more decisions than
+  // the default-TTL walk.
+  const std::uint32_t long_ttl = 100 * net::default_ttl(g_);
+  PacketRecycling reference_pr(routes_, cycles_, PrVariant::kSingleBit);
+  const auto reference = test_support::reference_walk(network, reference_pr, node("A"),
+                                                      node("F"), long_ttl);
+  PacketRecycling long_pr(routes_, cycles_, PrVariant::kSingleBit);
+  CountingProtocol long_counted(long_pr);
+  const auto long_trace =
+      net::route_packet(network, long_counted, node("A"), node("F"), long_ttl);
+  EXPECT_EQ(long_trace.drop_reason, net::DropReason::kTtlExpired);
+  EXPECT_EQ(long_trace.hops, long_ttl);
+  EXPECT_EQ(long_trace.nodes, reference.trace.nodes);
+  EXPECT_EQ(long_trace.cost, reference.trace.cost);
+  EXPECT_EQ(long_trace.final_packet.pr_bit, reference.trace.final_packet.pr_bit);
+  EXPECT_EQ(long_trace.final_packet.dd, reference.trace.final_packet.dd);
+  EXPECT_LT(long_counted.calls, counted.calls + 8);
 }
 
 TEST_F(PaperExample, RenderTableMatchesPaperNotation) {

@@ -1,22 +1,33 @@
 // Parity suite for the batched forwarding engine (sim/forwarding_engine.hpp).
 //
 // The engine is only allowed to be fast, not different: for every protocol,
-// topology and failure set, route_batch must report bit-identical delivery
-// status, drop reason, hop count, cost and (in full-trace mode) node sequence
-// to the legacy synchronous walker, and the event simulator must agree with
-// both because all three share the same hop core.
+// topology and failure set, route_packet and route_batch must report
+// bit-identical delivery status, drop reason, hop count, cost, node and dart
+// sequences, final header and demand-weighted link load to the hop-by-hop
+// decide()/commit() walk (tests/reference_walk.hpp).  That walk is the
+// reference because ForwardingEngine::run, which both front-ends drive,
+// replays the period of a looping walk instead of deciding every hop; the
+// event simulator must agree too, since it drives the same hop core.
 #include "sim/forwarding_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/protocols.hpp"
+#include "core/policy.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
 #include "net/event_sim.hpp"
 #include "net/failure_model.hpp"
+#include "net/storm_model.hpp"
+#include "obs/telemetry.hpp"
+#include "reference_walk.hpp"
 #include "topo/topologies.hpp"
+#include "traffic/load_map.hpp"
 
 namespace pr {
 namespace {
@@ -24,29 +35,75 @@ namespace {
 using sim::BatchResult;
 using sim::FlowSpec;
 using sim::TraceMode;
+using test_support::ReferenceWalk;
 
 /// Every protocol the library ships, built over `suite`.
 std::vector<analysis::NamedFactory> all_protocols(const analysis::ProtocolSuite& suite) {
-  return {suite.spf(),          suite.reconvergence(), suite.fcp(),
-          suite.lfa(),          suite.pr(),            suite.pr_single_bit()};
+  return {suite.spf(),
+          suite.reconvergence(),
+          suite.fcp(),
+          suite.lfa(),
+          suite.lfa_node_protecting(),
+          suite.lfa_post_convergence(),
+          suite.pr(),
+          suite.pr_single_bit(),
+          // Section-7 PR for class 5 only; class-0 flows ride plain SPF.
+          {"pr-policy-gated", [&suite](const net::Network&) {
+             return std::make_unique<core::PolicyGatedRecycling>(
+                 suite.routes(), suite.cycle_table(), core::TrafficClassPolicy{5});
+           }}};
 }
 
 std::vector<FlowSpec> all_ordered_pairs(const graph::Graph& g) {
-  return sim::all_pairs_flows(g);
+  std::vector<FlowSpec> flows = sim::all_pairs_flows(g);
+  // Alternate classes so the policy-gated protocol takes both branches.
+  for (std::size_t f = 0; f < flows.size(); f += 2) flows[f].traffic_class = 5;
+  return flows;
 }
 
-/// Routes `flows` with the legacy walker and with route_batch (both trace
-/// modes), asserting identical outcomes flow by flow.
+/// Cost parity is exact: bit patterns, not a tolerance.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_stats(const sim::FlowStats& got, const net::PathTrace& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.drop_reason, want.drop_reason);
+  EXPECT_EQ(got.hops, want.hops);
+  EXPECT_EQ(bits(got.cost), bits(want.cost));
+}
+
+void expect_same_header(const net::Packet& got, const net::Packet& want) {
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(got.destination, want.destination);
+  EXPECT_EQ(got.pr_bit, want.pr_bit);
+  EXPECT_EQ(got.dd, want.dd);
+  EXPECT_EQ(got.fcp_failures, want.fcp_failures);
+  EXPECT_EQ(got.ttl, want.ttl);
+  EXPECT_EQ(got.traffic_class, want.traffic_class);
+  EXPECT_EQ(got.id, want.id);
+}
+
+/// Routes `flows` with the hop-by-hop reference walk, the legacy walker and
+/// route_batch (both trace modes, plain and demand-weighted), asserting
+/// identical outcomes flow by flow.
 void expect_parity(const net::Network& network, const analysis::NamedFactory& factory,
                    const std::vector<FlowSpec>& flows) {
   // Each side gets its own fresh instance and sees the flows in the same
   // order, so even stateful protocols (FCP's SPF cache) are comparable.
+  const auto reference_proto = factory.make(network);
+  std::vector<ReferenceWalk> reference;
+  reference.reserve(flows.size());
+  for (const auto& flow : flows) {
+    reference.push_back(test_support::reference_walk(network, *reference_proto,
+                                                     flow.source, flow.destination,
+                                                     flow.ttl, flow.traffic_class));
+  }
+
   const auto legacy_proto = factory.make(network);
   std::vector<net::PathTrace> legacy;
   legacy.reserve(flows.size());
   for (const auto& flow : flows) {
-    legacy.push_back(
-        net::route_packet(network, *legacy_proto, flow.source, flow.destination));
+    legacy.push_back(net::route_packet(network, *legacy_proto, flow.source,
+                                       flow.destination, flow.ttl, flow.traffic_class));
   }
 
   const auto stats_proto = factory.make(network);
@@ -55,35 +112,56 @@ void expect_parity(const net::Network& network, const analysis::NamedFactory& fa
   const BatchResult traced =
       sim::route_batch(network, *traced_proto, flows, TraceMode::kFullTrace);
 
+  // Demand-weighted: distinct, inexact rates, so a load added in a different
+  // order (or a hop added twice and one missed) changes the bits.
+  std::vector<double> demands(flows.size());
+  traffic::LoadMap want_load(network.graph().dart_count());
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    demands[f] = 1.0 + 0.1 * static_cast<double>(f % 97);
+    for (const graph::DartId d : reference[f].darts) want_load.add(d, demands[f]);
+  }
+  BatchResult weighted_stats;
+  BatchResult weighted_traced;
+  for (BatchResult* weighted : {&weighted_stats, &weighted_traced}) {
+    const auto proto = factory.make(network);
+    traffic::LoadMap load;
+    const TraceMode mode =
+        weighted == &weighted_stats ? TraceMode::kStats : TraceMode::kFullTrace;
+    sim::route_batch(network, *proto, flows, demands, load, mode, *weighted);
+    const traffic::LoadMapDiff diff = traffic::diff(load, want_load);
+    EXPECT_TRUE(diff.identical())
+        << factory.name << ": " << diff.differing << " darts differ, worst "
+        << diff.worst_dart << " by " << diff.max_abs_delta;
+  }
+
   ASSERT_EQ(stats.size(), flows.size());
   ASSERT_EQ(traced.size(), flows.size());
+  const BatchResult* const batches[] = {&stats, &traced, &weighted_stats,
+                                        &weighted_traced};
+  const BatchResult* const traced_batches[] = {&traced, &weighted_traced};
   std::size_t delivered = 0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     SCOPED_TRACE("protocol " + factory.name + ", flow " + std::to_string(f) + " (" +
                  std::to_string(flows[f].source) + " -> " +
-                 std::to_string(flows[f].destination) + ")");
-    for (const BatchResult* batch : {&stats, &traced}) {
-      EXPECT_EQ((*batch)[f].status, legacy[f].status);
-      EXPECT_EQ((*batch)[f].drop_reason, legacy[f].drop_reason);
-      EXPECT_EQ((*batch)[f].hops, legacy[f].hops);
-      EXPECT_DOUBLE_EQ((*batch)[f].cost, legacy[f].cost);
+                 std::to_string(flows[f].destination) + ", ttl " +
+                 std::to_string(flows[f].ttl) + ")");
+    const net::PathTrace& want = reference[f].trace;
+    EXPECT_EQ(legacy[f].status, want.status);
+    EXPECT_EQ(legacy[f].drop_reason, want.drop_reason);
+    EXPECT_EQ(legacy[f].hops, want.hops);
+    EXPECT_EQ(bits(legacy[f].cost), bits(want.cost));
+    EXPECT_EQ(legacy[f].nodes, want.nodes);
+    expect_same_header(legacy[f].final_packet, want.final_packet);
+    for (const BatchResult* batch : batches) {
+      expect_same_stats((*batch)[f], want);
     }
     EXPECT_TRUE(stats.nodes(f).empty());  // stats mode records no sequences
     EXPECT_TRUE(stats.darts(f).empty());
-    const auto nodes = traced.nodes(f);
-    ASSERT_EQ(nodes.size(), legacy[f].nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      EXPECT_EQ(nodes[i], legacy[f].nodes[i]);
+    for (const BatchResult* batch : traced_batches) {
+      EXPECT_TRUE(std::ranges::equal(batch->nodes(f), want.nodes));
+      EXPECT_TRUE(std::ranges::equal(batch->darts(f), reference[f].darts));
     }
-    // The dart trace is the same walk seen as interfaces: one dart per hop,
-    // each connecting the consecutive node pair.
-    const auto darts = traced.darts(f);
-    ASSERT_EQ(darts.size(), nodes.size() - 1);
-    for (std::size_t i = 0; i < darts.size(); ++i) {
-      EXPECT_EQ(network.graph().dart_tail(darts[i]), nodes[i]);
-      EXPECT_EQ(network.graph().dart_head(darts[i]), nodes[i + 1]);
-    }
-    if (legacy[f].delivered()) ++delivered;
+    if (want.delivered()) ++delivered;
   }
   EXPECT_EQ(stats.delivered_count(), delivered);
   EXPECT_EQ(stats.dropped_count(), flows.size() - delivered);
@@ -126,6 +204,157 @@ TEST(RouteBatchParity, RandomTopologiesWithArbitraryFailures) {
       expect_parity(network, factory, flows);
     }
   }
+}
+
+/// The storm-geant benchmark's failure model: radius-2 geographic SRLGs on
+/// GEANT, each failing independently with p = 0.02.  About half its draws
+/// partition the graph, so flows towards the cut-off nodes loop until the
+/// TTL guard under PR and LFA, and run() replays their periods.
+struct GeantStorm {
+  graph::Graph g = topo::geant();
+  analysis::ProtocolSuite suite{g};
+  net::SrlgCatalog catalog = net::geographic_srlgs(g, 2);
+  net::IndependentOutages model = net::IndependentOutages::uniform(catalog, 0.02);
+
+  /// Draw `i` of the stream the benchmark samples at its default seed.
+  [[nodiscard]] net::Network draw(std::size_t i) const {
+    graph::Rng rng(graph::split_seed(0x5708, i));
+    net::StormSample sample;
+    model.sample(rng, sample);
+    net::Network network(g);
+    for (const graph::EdgeId e : sample.failures.elements()) network.fail_link(e);
+    return network;
+  }
+};
+
+TEST(RouteBatchParity, GeantStormDrawsAllProtocols) {
+  const GeantStorm storm;
+  const std::size_t n = storm.g.node_count();
+  obs::Counters counters;
+  const obs::ScopedSink sink(&counters);
+  for (std::size_t i = 0; i < 200; ++i) {
+    const net::Network network = storm.draw(i);
+    // Every source towards two destinations that rotate with the draw.
+    std::vector<FlowSpec> flows;
+    for (const std::size_t t : {i % n, (i + n / 2) % n}) {
+      for (graph::NodeId s = 0; s < n; ++s) {
+        if (s == t) continue;
+        flows.push_back(FlowSpec{s, static_cast<graph::NodeId>(t), 0,
+                                 static_cast<std::uint8_t>(s % 2 == 0 ? 5 : 0)});
+      }
+    }
+    for (const auto& factory : all_protocols(storm.suite)) {
+      expect_parity(network, factory, flows);
+    }
+  }
+#if !defined(PR_OBS_DISABLED)
+  // The draws exercised the replay: some hops were not decided.
+  EXPECT_LT(counters.get(obs::Counter::kForwardDecisions),
+            counters.get(obs::Counter::kForwardHops));
+#endif
+}
+
+TEST(RouteBatchParity, TtlSweepOverLoopingFlowsCoversEveryRemainder) {
+  // A looping flow's walk is decided until its period is detected and one
+  // more period recorded, replayed for floor(ttl / period) periods, then
+  // decided for the last ttl mod period hops.  Sweeping the TTL from 1 to
+  // twice the default runs every TTL shorter than the detection point and
+  // every remainder mod the period.
+  const GeantStorm storm;
+  const std::uint32_t max_ttl = 2 * net::default_ttl(storm.g);
+  const auto pairs = sim::all_pairs_flows(storm.g);
+  for (const auto& factory :
+       {storm.suite.pr(), storm.suite.pr_single_bit(), storm.suite.lfa()}) {
+    std::size_t looping = 0;
+    for (std::size_t i = 0; i < 200 && looping < 3; ++i) {
+      const net::Network network = storm.draw(i);
+      const auto proto = factory.make(network);
+      const BatchResult batch = sim::route_batch(network, *proto, pairs);
+      const auto stats = batch.stats();
+      const auto it = std::ranges::find_if(stats, [](const sim::FlowStats& s) {
+        return s.drop_reason == net::DropReason::kTtlExpired;
+      });
+      if (it == stats.end()) continue;
+      const FlowSpec& flow = pairs[static_cast<std::size_t>(it - stats.begin())];
+      std::vector<FlowSpec> sweep;
+      for (std::uint32_t ttl = 1; ttl <= max_ttl; ++ttl) {
+        sweep.push_back(FlowSpec{flow.source, flow.destination, ttl});
+      }
+      obs::Counters counters;
+      {
+        const obs::ScopedSink sink(&counters);
+        expect_parity(network, factory, sweep);
+      }
+#if !defined(PR_OBS_DISABLED)
+      EXPECT_LT(counters.get(obs::Counter::kForwardDecisions),
+                counters.get(obs::Counter::kForwardHops) / 2)
+          << factory.name << " draw " << i;
+#endif
+      ++looping;
+    }
+    EXPECT_EQ(looping, 3U) << factory.name;
+  }
+}
+
+/// Circles a ring forever while counting laps in its header: on arriving at
+/// node 0 it steps a counter held in (pr_bit, dd, FCP list) -- pr_bit is
+/// the lap count mod 2, dd the next digit mod 3, and the FCP list holds
+/// edge 0 on every other pass of those.  Its darts repeat every lap, its
+/// decision state only every twelve laps: a replay keyed on anything less
+/// than the full state would repeat the wrong period.
+class LapCounter final : public net::ForwardingProtocol {
+ public:
+  [[nodiscard]] net::ForwardingDecision forward(const net::Network& net,
+                                                graph::NodeId at,
+                                                graph::DartId arrived_over,
+                                                net::Packet& packet) override {
+    if (at == packet.destination) return net::ForwardingDecision::deliver();
+    if (at == 0 && arrived_over != graph::kInvalidDart) {
+      const bool carry = packet.pr_bit;
+      packet.pr_bit = !packet.pr_bit;
+      if (carry) {
+        packet.dd = (packet.dd + 1) % 3;
+        if (packet.dd == 0) {
+          if (packet.fcp_failures.empty()) {
+            packet.fcp_failures.push_back(0);
+          } else {
+            packet.fcp_failures.clear();
+          }
+        }
+      }
+    }
+    const graph::NodeId next = (at + 1) % 4;
+    return net::ForwardingDecision::forward(*net.graph().find_dart(at, next));
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "lap-counter";
+  }
+};
+
+TEST(RouteBatchParity, ReplayKeysOnTheWholeHeaderState) {
+  // A 4-ring plus an isolated destination: every walk circles until the TTL
+  // guard.  The 48-hop period is found by hop 112 and recorded by hop 160;
+  // TTLs up to 400 end at every lap count after that, so the final header
+  // shows whether the replay kept the state.
+  graph::Graph g(5);
+  for (graph::NodeId v = 0; v < 4; ++v) g.add_edge(v, (v + 1) % 4);
+  const net::Network network(g);
+  const analysis::NamedFactory factory{
+      "lap-counter",
+      [](const net::Network&) { return std::make_unique<LapCounter>(); }};
+  std::vector<FlowSpec> flows;
+  for (std::uint32_t ttl = 1; ttl <= 400; ++ttl) {
+    flows.push_back(FlowSpec{static_cast<graph::NodeId>(ttl % 4), 4, ttl});
+  }
+  obs::Counters counters;
+  {
+    const obs::ScopedSink sink(&counters);
+    expect_parity(network, factory, flows);
+  }
+#if !defined(PR_OBS_DISABLED)
+  EXPECT_LT(counters.get(obs::Counter::kForwardDecisions),
+            counters.get(obs::Counter::kForwardHops));
+#endif
 }
 
 TEST(RouteBatchParity, EventSimulatorAgreesWithSharedCore) {
