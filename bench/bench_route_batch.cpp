@@ -1,7 +1,7 @@
 // Perf bench for the batched forwarding engine: per-packet route_packet vs
 // stats-only and full-trace route_batch on a 1k-flow Abilene sweep, plus a
-// looping row where the engine replays the periods of walks that cycle until
-// the TTL guard.
+// looping row of walks that cycle until the TTL guard, which the engine
+// takes from its walk log instead of deciding every hop.
 //
 // Emits the machine-readable BENCH_route_batch.json schema (also printed to
 // stdout) so successive PRs can track the forwarding path's throughput:
@@ -18,15 +18,17 @@
 //     "looping": { "failed_links": ["Seattle-Sunnyvale", "Seattle-Denver"],
 //                  "results": [ { "protocol": "...",
 //                                 "ttl_expired_flows": ..., "hops": ...,
+//                                 "per_packet_ns_per_hop": ...,
 //                                 "batch_stats_ns_per_hop": ...,
 //                                 "batch_full_trace_ns_per_hop": ... }, ... ] }
 //   }
 //
 // The looping row cuts Seattle off, so PR and LFA flows towards it cycle
-// until the TTL guard drops them.  Before timing it, the bench checks both
-// trace modes against the hop-by-hop decide()/commit() walk of every flow
-// (status, drop reason, hops, cost bits, nodes and darts) and exits non-zero
-// on any difference.
+// until the TTL guard drops them.  A route_packet walk has a log of its own;
+// a route_batch call shares one across its flows.  Before timing, the bench
+// checks route_packet and both route_batch trace modes against the
+// hop-by-hop decide()/commit() walk of every flow (status, drop reason,
+// hops, cost bits, nodes and darts) and exits non-zero on any difference.
 //
 // Timings are the best of R repetitions (least-noise estimator for
 // throughput benches).
@@ -76,18 +78,26 @@ double best_ns_per(std::size_t repetitions, std::size_t units,
 }
 
 /// Throws unless `stats` and `traced` (the same flows routed in both trace
-/// modes) equal the hop-by-hop decide()/commit() walk of every flow.
+/// modes) and `walks` (route_packet of each flow) equal the hop-by-hop
+/// decide()/commit() walk of every flow.
 void check_against_reference(const net::Network& network,
                              const analysis::NamedFactory& factory,
                              const std::vector<sim::FlowSpec>& flows,
                              const sim::BatchResult& stats,
-                             const sim::BatchResult& traced) {
+                             const sim::BatchResult& traced,
+                             const std::vector<net::PathTrace>& walks) {
   const auto proto = factory.make(network);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const test_support::ReferenceWalk walk = test_support::reference_walk(
         network, *proto, flows[f].source, flows[f].destination);
+    const net::PathTrace& single = walks[f];
     bool same = std::ranges::equal(traced.nodes(f), walk.trace.nodes) &&
-                std::ranges::equal(traced.darts(f), walk.darts);
+                std::ranges::equal(traced.darts(f), walk.darts) &&
+                single.nodes == walk.trace.nodes && single.status == walk.trace.status &&
+                single.drop_reason == walk.trace.drop_reason &&
+                single.hops == walk.trace.hops &&
+                std::bit_cast<std::uint64_t>(single.cost) ==
+                    std::bit_cast<std::uint64_t>(walk.trace.cost);
     for (const sim::BatchResult* batch : {&stats, &traced}) {
       const sim::FlowStats& got = (*batch)[f];
       same = same && got.status == walk.trace.status &&
@@ -180,7 +190,8 @@ int main(int argc, char** argv) {
   json << "\n  ],\n";
 
   // Looping row: Seattle cut off.  Flows towards it loop until the TTL guard
-  // under PR and LFA, so most of their hops are replayed, not decided.
+  // under PR and LFA, so most of their hops come from the walk log, not a
+  // decision.
   net::Network cut(g);
   const std::vector<std::pair<const char*, const char*>> cut_links = {
       {"Seattle", "Sunnyvale"}, {"Seattle", "Denver"}};
@@ -198,7 +209,12 @@ int main(int argc, char** argv) {
     sim::BatchResult traced;
     sim::route_batch(cut, *proto, flows, sim::TraceMode::kStats, batch);
     sim::route_batch(cut, *proto, flows, sim::TraceMode::kFullTrace, traced);
-    check_against_reference(cut, factory, flows, batch, traced);
+    std::vector<net::PathTrace> walks;
+    walks.reserve(flows.size());
+    for (const auto& flow : flows) {
+      walks.push_back(net::route_packet(cut, *proto, flow.source, flow.destination));
+    }
+    check_against_reference(cut, factory, flows, batch, traced, walks);
     std::size_t hops = 0;
     std::size_t ttl_expired = 0;
     for (const sim::FlowStats& s : batch.stats()) {
@@ -207,6 +223,13 @@ int main(int argc, char** argv) {
     }
     if (ttl_expired == 0) throw std::runtime_error("looping row: no flow loops");
 
+    const double per_packet_ns = best_ns_per(repetitions, hops, [&]() -> std::uint64_t {
+      std::uint64_t walked = 0;
+      for (const auto& flow : flows) {
+        walked += net::route_packet(cut, *proto, flow.source, flow.destination).hops;
+      }
+      return walked;
+    });
     const double stats_ns = best_ns_per(repetitions, hops, [&]() -> std::uint64_t {
       sim::route_batch(cut, *proto, flows, sim::TraceMode::kStats, batch);
       return batch.delivered_count();
@@ -218,6 +241,7 @@ int main(int argc, char** argv) {
     json << (first ? "" : ",") << "\n      { \"protocol\": \"" << proto->name()
          << "\",\n        \"ttl_expired_flows\": " << ttl_expired
          << ",\n        \"hops\": " << hops
+         << ",\n        \"per_packet_ns_per_hop\": " << per_packet_ns
          << ",\n        \"batch_stats_ns_per_hop\": " << stats_ns
          << ",\n        \"batch_full_trace_ns_per_hop\": " << traced_ns << " }";
     first = false;

@@ -59,9 +59,10 @@ class PacketRecycling final : public net::ForwardingProtocol {
 
   /// Failure encounters that triggered the termination comparison; exposed so
   /// tests can assert protocol dynamics.  Counts only decisions actually
-  /// made: a walk that loops until the TTL guard has most of its period
-  /// replayed by sim::ForwardingEngine::run without calling forward(), so its
-  /// encounters there are not counted.
+  /// made: sim::ForwardingEngine::run takes hops from its walk log without
+  /// calling forward() -- most of a walk that loops until the TTL guard, and
+  /// in a route_batch call whatever a flow follows of an earlier flow's
+  /// walk -- so encounters there are not counted.
   [[nodiscard]] std::uint64_t termination_checks() const noexcept {
     return termination_checks_;
   }

@@ -1,7 +1,9 @@
 #include "net/forwarding.hpp"
 
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/forwarding_engine.hpp"
 
@@ -59,8 +61,17 @@ PathTrace route_packet(const Network& net, ForwardingProtocol& protocol, NodeId 
 
   PathTrace trace;
   trace.nodes.push_back(source);
-  const sim::FlowOutcome outcome =
-      engine.run(fs, [&trace](NodeId v) { trace.nodes.push_back(v); });
+  struct NodeSink {
+    std::vector<NodeId>* nodes;
+    void hop(const sim::FlowState& s) { nodes->push_back(s.at); }
+    void span(std::span<const DartId>, std::span<const NodeId> heads, std::uint32_t laps) {
+      for (std::uint32_t lap = 0; lap < laps; ++lap) {
+        nodes->insert(nodes->end(), heads.begin(), heads.end());
+      }
+    }
+  } sink{&trace.nodes};
+  sim::WalkLog log;  // this walk's own
+  const sim::FlowOutcome outcome = engine.run(fs, log, sink);
 
   trace.status = outcome.status;
   trace.drop_reason = outcome.reason;

@@ -54,20 +54,25 @@ struct ForwardingDecision {
 /// The decision contract, precisely.  A decision may read `at`,
 /// `arrived_over`, the header fields `destination`, `pr_bit`, `dd`,
 /// `fcp_failures` and `traffic_class`, the link state, and tables installed
-/// before the failures.  It must never read `packet.ttl` or `packet.id`.
-/// Internal mutable state may memoize (FCP's LRU of SPF trees) or count
-/// (PacketRecycling::termination_checks), but must never change a decision.
-/// So two visits to the same (at, arrived_over, pr_bit, dd, fcp_failures)
-/// within one flow decide the same way, and sim::ForwardingEngine::run
-/// relies on that: once a walk repeats that state it replays the period
-/// instead of calling forward() again.  It decides one period before
-/// replaying and throws std::logic_error if the state does not come back,
-/// which catches a contract breach that shows within that period.
-/// Every shipped implementation complies: StaticSpf, ReconvergedRouting,
-/// TimedReconvergence (its tables switch only between walks, in the event
-/// simulator), LfaRouting, FcpRouting, LinkStateIgp's data plane (likewise),
-/// PacketRecycling, PolicyGatedRecycling, and the analysis suite's
-/// BorrowedProtocol and PostConvergenceLfa adapters.
+/// before the failures.  It must never read `packet.source`, `packet.ttl` or
+/// `packet.id`.  Internal mutable state may memoize (FCP's LRU of SPF trees)
+/// or count (PacketRecycling::termination_checks), but must never change a
+/// decision.  So two flows with the same destination and traffic class that
+/// reach the same (arrival dart, pr_bit, dd, fcp_failures) -- the arrival
+/// dart implies `at` -- continue identically, whatever their sources, TTLs
+/// or the flows routed in between.  sim::ForwardingEngine::run relies on
+/// that across all the flows of one sim::route_batch call: it logs the hops
+/// long walks decide, and a walk that reaches a logged state takes the
+/// logged hops instead of calling forward() again.  Checks catch a breach:
+/// a walk back at a state it logged itself decides its period once more and
+/// throws std::logic_error if a decision differs, and Debug builds re-decide
+/// every hop a walk takes from another walk's log.
+/// Every shipped implementation complies, and none reads `source`:
+/// StaticSpf, ReconvergedRouting, TimedReconvergence (its tables switch only
+/// between walks, in the event simulator), LfaRouting, FcpRouting,
+/// LinkStateIgp's data plane (likewise), PacketRecycling,
+/// PolicyGatedRecycling, and the analysis suite's BorrowedProtocol and
+/// PostConvergenceLfa adapters.
 class ForwardingProtocol {
  public:
   virtual ~ForwardingProtocol() = default;
@@ -120,9 +125,10 @@ struct PathTrace {
 /// `ttl` of 0 selects default_ttl(); `traffic_class` feeds Section-7 policy
 /// gating.  Throws std::logic_error if the protocol violates the forwarding
 /// contract (forwards over a down link or away from the deciding node).  A
-/// walk that loops until the TTL guard replays its period rather than calling
-/// the protocol at every hop (sim::ForwardingEngine::run); the trace is the
-/// same as a hop-by-hop walk's.
+/// walk that loops until the TTL guard replays its period from a walk log of
+/// its own rather than calling the protocol at every hop
+/// (sim::ForwardingEngine::run); the trace is the same as a hop-by-hop
+/// walk's.
 [[nodiscard]] PathTrace route_packet(const Network& net, ForwardingProtocol& protocol,
                                      NodeId source, NodeId destination,
                                      std::uint32_t ttl = 0,

@@ -29,6 +29,7 @@ const char* to_string(Counter c) noexcept {
     case Counter::kFlowsDropped: return "flows_dropped";
     case Counter::kForwardHops: return "forward_hops";
     case Counter::kForwardDecisions: return "forward_decisions";
+    case Counter::kForwardJoins: return "forward_joins";
     case Counter::kCycleFollowFlows: return "cycle_follow_flows";
     case Counter::kCycleFollowHops: return "cycle_follow_hops";
     case Counter::kUnitsExecuted: return "units_executed";

@@ -60,7 +60,8 @@ enum class Counter : std::uint16_t {
   kFlowsDelivered,
   kFlowsDropped,
   kForwardHops,
-  kForwardDecisions,  ///< hops a protocol decided (the rest were replayed)
+  kForwardDecisions,  ///< hops a protocol decided (the rest came from the walk log)
+  kForwardJoins,      ///< walks that followed hops another walk of the batch logged
   kCycleFollowFlows,  ///< flows that ended in PR cycle-follow mode (pr_bit set)
   kCycleFollowHops,   ///< hops of those flows
   // sim::SweepExecutor -- scheduling.

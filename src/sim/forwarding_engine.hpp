@@ -16,16 +16,14 @@
 //                               queueing (net/event_sim.cpp).
 //
 // route_packet and route_batch run a flow through ForwardingEngine::run, which
-// replays a looping walk's period instead of re-deciding it (see run()); the
-// event simulator calls decide()/commit() once per hop, and that per-hop walk
-// is the reference run() is tested against.  Every hop, replayed or not, goes
-// through commit(), so a timed flight and a synchronous walk of the same flow
-// can never disagree on status, hops or cost.
+// logs the hops of long walks in a WalkLog and takes a hop from the log
+// instead of re-deciding it when a walk returns to a state the log holds (see
+// run()); the event simulator calls decide()/commit() once per hop, and that
+// per-hop walk is the reference run() is tested against.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "net/forwarding.hpp"
@@ -84,9 +82,135 @@ struct HopDecision {
 struct FlowOutcome {
   DeliveryStatus status = DeliveryStatus::kDropped;
   DropReason reason = DropReason::kNone;
-  /// Hops run() committed from a recorded period instead of a protocol
-  /// decision; the flow's other hops were each decided.
+  /// Hops run() took from the walk log instead of a protocol decision; the
+  /// flow's other hops were each decided.
   std::uint32_t replayed_hops = 0;
+  /// The walk followed hops another walk of the same log decided.
+  bool joined = false;
+};
+
+/// The decided hops of the walks one route_batch or route_packet call has
+/// run, indexed by the decision state each hop was decided from.
+///
+/// A decision reads only the flow's decision state -- destination, traffic
+/// class, arrival dart (which implies the node), PR bit, DD bits and FCP list
+/// (see net::ForwardingProtocol) -- so a state the log holds fixes the hop
+/// decided from it, whichever walk of the call reaches it.  From its
+/// kLogFrom-th hop on, a walk appends every hop it decides: the dart, the
+/// node it leads to, and the header after the decision, or the drop reason
+/// when the protocol dropped the packet.  The state a hop leads to is its own
+/// dart plus that header, so an entry is indexed by its predecessor's and no
+/// key is copied.  Each stretch a walk logs starts with a seed entry holding
+/// the state the stretch starts from; seeds are never indexed, and the entry
+/// after a hop is its successor unless it is a seed.
+///
+/// Not thread-safe; one log serves one walk at a time.  Warm, it allocates
+/// nothing: clear() keeps every buffer's capacity.
+class WalkLog {
+ public:
+  /// A walk logs from its kLogFrom-th hop on; shorter walks, which most
+  /// delivered walks are, never touch the log.
+  static constexpr std::uint32_t kLogFrom = 8;
+
+  /// Sentinel entry index.
+  static constexpr std::uint32_t kNone = 0xFFFF'FFFFU;
+
+  /// Empties the log and its index but keeps every buffer's capacity.
+  void clear() noexcept;
+
+  /// Entries held: seeds, decided hops and drops.
+  [[nodiscard]] std::size_t size() const noexcept { return darts_.size(); }
+
+  /// Result of find(): the entry decided from the probed state (kNone if the
+  /// log holds none), plus what append_hop()/append_drop() need to index a
+  /// new entry under that state.
+  struct Probe {
+    std::uint32_t entry = kNone;
+    std::uint32_t slot = 0;
+    std::uint64_t hash = 0;
+  };
+
+  /// Looks up the decision state of `fs` (a walk past its first hop).
+  [[nodiscard]] Probe find(const FlowState& fs) const;
+
+  /// Starts a stretch at the state of `fs`; returns the seed's index.
+  std::uint32_t open_stretch(const FlowState& fs);
+
+  /// Appends the hop `out` to `head` decided from the probed state, with the
+  /// header of `fs` after the decision.  Call only while a stretch is open
+  /// and the probed state is the state it reached.
+  void append_hop(const Probe& probe, DartId out, NodeId head, const FlowState& fs);
+
+  /// Appends the drop decided from the probed state, with the header of `fs`
+  /// after the decision.  Ends the stretch.
+  void append_drop(const Probe& probe, DropReason reason, const FlowState& fs);
+
+  /// The darts of the `count` entries from `begin` on: the hop taken (for a
+  /// seed, the dart the walk arrived over).
+  [[nodiscard]] std::span<const DartId> darts(std::uint32_t begin,
+                                              std::uint32_t count) const noexcept {
+    return std::span<const DartId>(darts_).subspan(begin, count);
+  }
+  /// The nodes those hops lead to.
+  [[nodiscard]] std::span<const NodeId> heads(std::uint32_t begin,
+                                              std::uint32_t count) const noexcept {
+    return std::span<const NodeId>(heads_).subspan(begin, count);
+  }
+
+  /// Number of consecutive hops from entry `begin` on, at most `limit`: the
+  /// run stops before a seed, a drop or the end of the log.
+  [[nodiscard]] std::uint32_t run_length(std::uint32_t begin, std::uint32_t limit) const;
+
+  [[nodiscard]] bool is_drop(std::uint32_t entry) const noexcept {
+    return entry < size() && (states_[entry].flags & kDrop) != 0;
+  }
+  [[nodiscard]] DropReason drop_reason(std::uint32_t entry) const noexcept {
+    return static_cast<DropReason>(states_[entry].flags >> kReasonShift);
+  }
+
+  /// Sets the PR bit, DD bits and FCP list of `packet` to the header after
+  /// entry `entry`.
+  void restore_header(std::uint32_t entry, Packet& packet) const;
+
+  /// Whether `packet` carries the header after entry `entry`.
+  [[nodiscard]] bool header_matches(std::uint32_t entry, const Packet& packet) const;
+
+ private:
+  /// The header after an entry, plus the walk's identity (which, with its
+  /// predecessor's dart and header, forms the state the entry is keyed by).
+  struct State {
+    std::uint32_t dd = 0;
+    std::uint32_t fcp = 0;  ///< 1 + offset of the FCP list in fcp_pool_; 0 = empty
+    NodeId destination = graph::kInvalidNode;
+    std::uint8_t traffic_class = 0;
+    std::uint8_t flags = 0;  ///< kPrBit | kSeed | kDrop | reason << kReasonShift
+  };
+  static constexpr std::uint8_t kPrBit = 1;
+  static constexpr std::uint8_t kSeed = 2;
+  static constexpr std::uint8_t kDrop = 4;
+  static constexpr unsigned kReasonShift = 3;
+
+  static std::uint64_t hash_of(const FlowState& fs) noexcept;
+  [[nodiscard]] std::span<const graph::EdgeId> fcp_list(std::uint32_t fcp) const;
+  [[nodiscard]] bool keyed_by(std::uint32_t entry, const FlowState& fs) const;
+  [[nodiscard]] std::uint64_t key_hash(std::uint32_t entry) const;
+  void push_entry(DartId dart, NodeId head, const FlowState& fs, std::uint8_t flags);
+  void index(const Probe& probe);
+  void grow_index();
+
+  // One element per entry in each; the trace sinks copy darts and nodes out
+  // of the first two in bulk.
+  std::vector<DartId> darts_;
+  std::vector<NodeId> heads_;
+  std::vector<State> states_;
+  /// FCP lists of logged headers, each stored as its length then its edges.
+  std::vector<graph::EdgeId> fcp_pool_;
+  /// Open-addressed index over the non-seed entries, linear probing: each
+  /// slot holds (hash tag << 32) | (entry + 1), or 0 when empty.  Only the
+  /// first index_mask_ + 1 slots are in use; 0 means none this call.
+  std::vector<std::uint64_t> index_;
+  std::uint32_t index_mask_ = 0;
+  std::uint32_t indexed_ = 0;
 };
 
 /// The single hop-execution core.  Cheap to construct (two pointers); holds no
@@ -109,141 +233,102 @@ class ForwardingEngine {
   /// flow across `out`.
   void commit(FlowState& fs, DartId out) const;
 
-  /// Runs `fs` to completion synchronously.  `on_visit` is invoked with each
-  /// node the flow moves to (the source is already in `fs`, so it is not
-  /// reported).  Statically dispatched so stats-only sweeps pay nothing for
-  /// the hook.
+  /// Runs `fs` to completion synchronously, sharing `log` with the other
+  /// walks run on it (route_batch clears it once per call).  `sink` is told
+  /// about every hop the flow takes, in walk order: sink.hop(fs) after each
+  /// decided hop (fs.at and fs.arrived_over are the node reached and the dart
+  /// crossed), and sink.span(darts, nodes, laps) for hops taken from the log
+  /// in one go: the logged darts and the nodes they lead to, `laps` times
+  /// over.  The source is already in `fs`, so it is not reported.
   ///
-  /// Period replay.  A decision reads only the flow's decision state (see
-  /// DecisionState below), so once that state repeats, the walk repeats the
-  /// same hops until the TTL guard drops it.  From hop kFirstMark on, run()
-  /// watches for a repeat with Brent's algorithm: one compare per hop
-  /// against a mark that moves to the current state at hops 8, 16, 32, ...
-  /// When the state returns to the mark after lambda hops, run() decides one
-  /// more period, recording its darts, and throws std::logic_error if the
-  /// state does not come back (the protocol read something outside its
-  /// contract).  It then commits floor(ttl / lambda) whole periods from the
-  /// record without calling the protocol, and decides the last ttl mod
-  /// lambda hops normally.
+  /// The walk log.  Walks shorter than WalkLog::kLogFrom hops are a plain
+  /// decide/commit loop.  From that hop on, run() looks the walk's decision
+  /// state up in the log before each decision and appends every hop it
+  /// decides.  When the lookup finds an entry:
+  ///   * the walk logged it itself in its current stretch: the walk has found
+  ///     its period.  It decides the period once more, throwing
+  ///     std::logic_error if a decision differs from the logged one (the
+  ///     protocol reads something outside its contract), then takes whole
+  ///     periods and the remainder from the log until the TTL guard drops it;
+  ///   * another walk logged it: the walk follows that walk's hops to where
+  ///     that walk ended -- delivered, dropped with its reason, around its
+  ///     period until the TTL guard, or back to deciding where that walk was
+  ///     cut short by its own TTL.  Debug builds re-decide every followed hop
+  ///     and throw std::logic_error on a mismatch.
   ///
-  /// Every hop, replayed or decided, goes through commit() and `on_visit`,
-  /// so the sink sees each hop's position, dart, hop count, TTL and cost sum
-  /// exactly as the hop-by-hop decide()/commit() walk produces them, which
-  /// stays the reference.  The header (PR/DD bits, FCP list) is exact only
-  /// when run() returns: during a replayed period it holds the state the
-  /// period starts from.  No sink in the library reads it mid-walk.
-  template <typename NodeSink>
-  FlowOutcome run(FlowState& fs, NodeSink&& on_visit) const {
+  /// A hop taken from the log never calls the protocol.  Its cost is still
+  /// added hop by hop in walk order, so the cost sum, hops, TTL, darts,
+  /// nodes, final header and drop reason equal the hop-by-hop
+  /// decide()/commit() walk bit for bit, which stays the reference.  The
+  /// header is exact only when run() returns: during a taken stretch it may
+  /// still hold the state the stretch starts from.
+  template <typename Sink>
+  FlowOutcome run(FlowState& fs, WalkLog& log, Sink& sink) const {
     while (true) {
       const HopDecision d = decide(fs);
-      if (d.kind != HopDecision::Kind::kForward) return outcome_of(d, 0);
+      if (d.kind != HopDecision::Kind::kForward) return outcome_of(d);
       commit(fs, d.out_dart);
-      on_visit(fs.at);
-      if (fs.hops >= kFirstMark) [[unlikely]] {
-        return run_detecting(fs, on_visit);
+      sink.hop(fs);
+      if (fs.hops + 1 >= WalkLog::kLogFrom) [[unlikely]] {
+        return run_logged(fs, log, SinkRef(sink));
       }
     }
-  }
-
-  FlowOutcome run(FlowState& fs) const {
-    return run(fs, [](NodeId) {});
   }
 
   [[nodiscard]] const Network& network() const noexcept { return *net_; }
   [[nodiscard]] ForwardingProtocol& protocol() const noexcept { return *protocol_; }
 
  private:
-  /// The part of a flow a protocol decision may read that changes along a
-  /// walk (see net::ForwardingProtocol).  The node is implied: after a hop it
-  /// is the head of arrived_over.
-  struct DecisionState {
-    DartId arrived_over = graph::kInvalidDart;
-    bool pr_bit = false;
-    std::uint32_t dd = 0;
-    std::vector<graph::EdgeId> fcp_failures;
+  /// A type-erased reference to run()'s sink, so the logged part of a walk
+  /// compiles once, out of line, and run()'s loop stays as tight as a plain
+  /// decide/commit loop.
+  class SinkRef {
+   public:
+    template <typename Sink>
+    explicit SinkRef(Sink& sink) noexcept
+        : self_(&sink),
+          hop_([](void* s, const FlowState& fs) { static_cast<Sink*>(s)->hop(fs); }),
+          span_([](void* s, std::span<const DartId> darts, std::span<const NodeId> nodes,
+                   std::uint32_t laps) { static_cast<Sink*>(s)->span(darts, nodes, laps); }) {}
 
-    /// arrived_over differs on almost every hop, so it is compared first and
-    /// on its own (a wider load spanning it and the node would stall on the
-    /// two narrower stores commit() just made).
-    [[nodiscard]] bool matches(const FlowState& fs) const noexcept {
-      return fs.arrived_over == arrived_over && fs.packet.pr_bit == pr_bit &&
-             fs.packet.dd == dd && fs.packet.fcp_failures == fcp_failures;
+    void hop(const FlowState& fs) const { hop_(self_, fs); }
+    void span(std::span<const DartId> darts, std::span<const NodeId> nodes,
+              std::uint32_t laps) const {
+      span_(self_, darts, nodes, laps);
     }
 
-    void assign(const FlowState& fs) {
-      arrived_over = fs.arrived_over;
-      pr_bit = fs.packet.pr_bit;
-      dd = fs.packet.dd;
-      fcp_failures = fs.packet.fcp_failures;  // allocates only for FCP lists
-    }
+   private:
+    void* self_;
+    void (*hop_)(void*, const FlowState&);
+    void (*span_)(void*, std::span<const DartId>, std::span<const NodeId>,
+                  std::uint32_t);
   };
 
-  /// Hops a walk takes before run() starts watching for a repeated state:
-  /// shorter walks, which most delivered walks are, pay one compare per hop.
-  static constexpr std::uint32_t kFirstMark = 8;
+  /// The rest of run() for a walk that has taken kLogFrom - 1 hops.
+  FlowOutcome run_logged(FlowState& fs, WalkLog& log, SinkRef sink) const;
 
-  /// The rest of run() for a walk that reached kFirstMark hops.  Out of line
-  /// so that run()'s loop compiles as tight as a plain decide/commit loop.
-  template <typename NodeSink>
-  [[gnu::noinline]] FlowOutcome run_detecting(FlowState& fs, NodeSink& on_visit) const {
-    HopDecision last;
-    const auto step = [&] {
-      last = decide(fs);
-      if (last.kind != HopDecision::Kind::kForward) return false;
-      commit(fs, last.out_dart);
-      on_visit(fs.at);
-      return true;
-    };
+  /// Moves `fs` `laps` times over the `count` logged hops from entry `begin`
+  /// on (a lap ends where it starts unless laps is 1) and hands them to
+  /// `sink` in one call.
+  void take(FlowState& fs, const WalkLog& log, std::uint32_t begin, std::uint32_t count,
+            std::uint32_t laps, const SinkRef& sink) const;
 
-    // Brent's algorithm: decide hop by hop until the state returns to the
-    // mark, which moves to the current state whenever the hops since it
-    // reach the next power of two.
-    DecisionState mark;
-    mark.assign(fs);
-    std::uint32_t lambda = 0;  // hops since the mark moved
-    for (std::uint64_t power = kFirstMark;;) {
-      if (!step()) return outcome_of(last, 0);
-      ++lambda;
-      if (mark.matches(fs)) break;
-      if (lambda == power) {
-        mark.assign(fs);
-        power *= 2;
-        lambda = 0;
-      }
-    }
+  /// Takes whole laps of the logged cycle [begin, end) and then the
+  /// remainder, until the TTL runs out.  Returns the hops taken.
+  std::uint32_t take_cycle(FlowState& fs, const WalkLog& log, std::uint32_t begin,
+                           std::uint32_t end, const SinkRef& sink) const;
 
-    // The walk is periodic with period lambda: decide one period to record it.
-    std::vector<DartId> period;
-    period.reserve(lambda);
-    for (std::uint32_t i = 0; i < lambda; ++i) {
-      if (!step()) return outcome_of(last, 0);
-      period.push_back(last.out_dart);
-    }
-    if (!mark.matches(fs)) {
-      throw std::logic_error(
-          "ForwardingEngine: a repeated decision state led to different hops "
-          "(the protocol reads state outside the ForwardingProtocol contract)");
-    }
+  /// Re-decides, on a copy of `fs`, the `count` logged hops from entry
+  /// `begin` on, and the drop after them if `then_drop`; throws
+  /// std::logic_error if the protocol decides any of them differently.
+  void recheck(const FlowState& fs, const WalkLog& log, std::uint32_t begin,
+               std::uint32_t count, bool then_drop) const;
 
-    // Replay whole periods, then decide the last ttl mod lambda hops; the TTL
-    // guard then drops the flow.
-    const std::uint32_t periods = fs.packet.ttl / lambda;
-    for (std::uint32_t p = 0; p < periods; ++p) {
-      for (const DartId dart : period) {
-        commit(fs, dart);
-        on_visit(fs.at);
-      }
-    }
-    while (step()) {
-    }
-    return outcome_of(last, periods * lambda);
-  }
-
-  static FlowOutcome outcome_of(const HopDecision& d, std::uint32_t replayed_hops) {
+  static FlowOutcome outcome_of(const HopDecision& d) {
     if (d.kind == HopDecision::Kind::kDelivered) {
-      return {DeliveryStatus::kDelivered, DropReason::kNone, replayed_hops};
+      return {DeliveryStatus::kDelivered, DropReason::kNone};
     }
-    return {DeliveryStatus::kDropped, d.reason, replayed_hops};
+    return {DeliveryStatus::kDropped, d.reason};
   }
 
   const Network* net_;
@@ -320,6 +405,7 @@ class BatchResult {
     nodes_.clear();
     darts_.clear();
     offsets_.clear();
+    log_.clear();
     delivered_ = 0;
   }
 
@@ -334,6 +420,7 @@ class BatchResult {
   std::vector<NodeId> nodes_;         // full-trace mode: all sequences, flattened
   std::vector<DartId> darts_;         // full-trace mode: hops taken, flattened
   std::vector<std::size_t> offsets_;  // full-trace mode: size()+1 fenceposts
+  WalkLog log_;                       // the walk log of the last call
   std::size_t delivered_ = 0;
   TraceMode mode_ = TraceMode::kStats;
 };
@@ -344,10 +431,13 @@ class BatchResult {
 [[nodiscard]] std::vector<FlowSpec> all_pairs_flows(const graph::Graph& g);
 
 /// Routes every flow of `flows` under `protocol`, in order, reusing one
-/// FlowState throughout.  Flows see the protocol instance sequentially, so a
-/// stateful protocol (e.g. FCP's SPF cache) behaves exactly as if the legacy
-/// route_packet had been called once per flow.  Throws std::out_of_range if
-/// any endpoint is not a node of the network's graph.
+/// FlowState throughout.  The flows share one walk log (see
+/// ForwardingEngine::run), so a flow that reaches a decision state an earlier
+/// flow of the call logged follows that flow's hops without calling the
+/// protocol.  Results are exactly those of calling route_packet once per
+/// flow, but a stateful protocol may see fewer forward() calls: FCP's SPF
+/// memo fills and PacketRecycling::termination_checks() can drop.  Throws
+/// std::out_of_range if any endpoint is not a node of the network's graph.
 void route_batch(const Network& net, ForwardingProtocol& protocol,
                  std::span<const FlowSpec> flows, TraceMode mode, BatchResult& out);
 

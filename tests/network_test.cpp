@@ -180,8 +180,8 @@ TEST(RoutePacket, TtlGuardsAgainstLoops) {
   EXPECT_EQ(trace.hops, 8U);
 
   // The walk repeats its state from the third hop on, so a thousand times
-  // the TTL replays the ping-pong instead of deciding it: 8000 hops cost
-  // fewer decisions than 8 hops plus 8.
+  // the TTL takes the ping-pong from the walk log instead of deciding it:
+  // 8000 hops cost fewer decisions than 8 hops plus 8.
   Bouncer long_proto;
   const auto long_trace = route_packet(net, long_proto, 0, 2, 8000);
   EXPECT_EQ(long_trace.drop_reason, DropReason::kTtlExpired);
@@ -227,10 +227,11 @@ class Drifter final : public ForwardingProtocol {
 
 TEST(RoutePacket, DecisionOutsideTheContractIsCaught) {
   // A triangle plus an isolated destination.  While the drifter bounces, its
-  // state repeats.  When it turns inside the period run() decides to record
-  // before replaying, the state does not come back, and run() throws rather
-  // than replay a period the protocol no longer follows.  (A later turn is
-  // not caught: the check covers that one period.)
+  // state repeats.  When it turns inside the period run() decides once more
+  // on returning to a logged state, a decision differs from the logged one,
+  // and run() throws rather than replay a period the protocol no longer
+  // follows.  (A later turn is not caught: the check covers that one
+  // period.)
   graph::Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(1, 2);

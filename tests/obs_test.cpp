@@ -141,12 +141,14 @@ TEST(ObsTelemetryJson, EmitsDerivedRatesCountersAndPerWorkerRows) {
   registry.worker(0).add(Counter::kForwardHops, 6);
   registry.worker(1).add(Counter::kForwardHops, 2);
   registry.worker(1).add(Counter::kForwardDecisions, 2);
+  registry.worker(0).add(Counter::kForwardJoins, 1);
 
   const std::string json = obs::telemetry_json(registry, /*elapsed_ms=*/10.0);
   EXPECT_NE(json.find("\"cache_hit_rate\": 0.900000"), std::string::npos) << json;
   EXPECT_NE(json.find("\"repair_fraction\": 0.750000"), std::string::npos) << json;
   EXPECT_NE(json.find("\"decision_fraction\": 0.250000"), std::string::npos) << json;
   EXPECT_NE(json.find("\"forward_decisions\": 2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"forward_joins\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"route_cache_hits\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
@@ -407,15 +409,18 @@ TEST(ObsDeterminism, TelemetryOnAndOffAreByteIdenticalAcrossThreadCounts) {
 
 TEST(ObsDeterminism, ForwardDecisionsRepeatExactlyAcrossThreadCounts) {
   // PR and LFA loop until the TTL guard on the storms that partition
-  // Abilene, so the engine replays part of their hops instead of deciding
-  // them.  Which hops are replayed is a function of the flow alone: the
-  // decision count repeats exactly at every thread count, and counting it
-  // changes no result bit.
+  // Abilene, so the engine takes part of their hops from the walk log
+  // instead of deciding them, and flows towards a cut-off node follow the
+  // walks of earlier flows of their batch.  Which hops are taken from the
+  // log is a function of the batch alone: the decision and join counts
+  // repeat exactly at every thread count, and counting them changes no
+  // result bit.
   StormFixture f;
   f.protocols = {f.suite.pr(), f.suite.lfa()};
   std::string baseline_checkpoint;
   std::uint64_t baseline_hops = 0;
   std::uint64_t baseline_decisions = 0;
+  std::uint64_t baseline_joins = 0;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     sim::SweepExecutor plain_executor(threads);
     const analysis::StormRunResult plain = f.run(plain_executor);
@@ -434,14 +439,18 @@ TEST(ObsDeterminism, ForwardDecisionsRepeatExactlyAcrossThreadCounts) {
     const Counters total = registry.aggregate();
     const std::uint64_t hops = total.get(Counter::kForwardHops);
     const std::uint64_t decisions = total.get(Counter::kForwardDecisions);
+    const std::uint64_t joins = total.get(Counter::kForwardJoins);
     EXPECT_GT(decisions, 0u);
-    EXPECT_LT(decisions, hops) << "no hop was replayed";
+    EXPECT_LT(decisions, hops) << "no hop came from the walk log";
+    EXPECT_GT(joins, 0u) << "no walk followed another";
     if (baseline_hops == 0) {
       baseline_hops = hops;
       baseline_decisions = decisions;
+      baseline_joins = joins;
     }
     EXPECT_EQ(hops, baseline_hops) << threads << " threads";
     EXPECT_EQ(decisions, baseline_decisions) << threads << " threads";
+    EXPECT_EQ(joins, baseline_joins) << threads << " threads";
 #endif
   }
 }

@@ -239,9 +239,9 @@ TEST_F(PaperExample, Section43ScenarioLoopsUnderOneBitVariant) {
   EXPECT_FALSE(trace.delivered());
   EXPECT_EQ(trace.drop_reason, net::DropReason::kTtlExpired);
 
-  // At 100x the default TTL the loop is replayed, not re-decided: the walk
-  // equals the hop-by-hop reference, yet costs barely more decisions than
-  // the default-TTL walk.
+  // At 100x the default TTL the loop is taken from the walk log, not
+  // re-decided: the walk equals the hop-by-hop reference, yet costs barely
+  // more decisions than the default-TTL walk.
   const std::uint32_t long_ttl = 100 * net::default_ttl(g_);
   PacketRecycling reference_pr(routes_, cycles_, PrVariant::kSingleBit);
   const auto reference = test_support::reference_walk(network, reference_pr, node("A"),

@@ -1,10 +1,11 @@
 // The hop-by-hop reference walk the forwarding engine is tested against.
 //
-// sim::ForwardingEngine::run replays the period of a walk that loops until
-// the TTL guard instead of deciding every hop.  This walk calls decide() and
-// commit() once per hop, as the event simulator does, so the protocol makes
-// every decision itself.  route_packet and route_batch must match it bit for
-// bit.
+// sim::ForwardingEngine::run takes hops from a walk log instead of deciding
+// every hop: the period of a walk that loops until the TTL guard, and in a
+// route_batch call the hops an earlier flow decided.  This walk calls
+// decide() and commit() once per hop, as the event simulator does, so the
+// protocol makes every decision itself.  route_packet and route_batch must
+// match it bit for bit.
 #pragma once
 
 #include <cstdint>

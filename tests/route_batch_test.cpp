@@ -6,8 +6,9 @@
 // sequences, final header and demand-weighted link load to the hop-by-hop
 // decide()/commit() walk (tests/reference_walk.hpp).  That walk is the
 // reference because ForwardingEngine::run, which both front-ends drive,
-// replays the period of a looping walk instead of deciding every hop; the
-// event simulator must agree too, since it drives the same hop core.
+// takes hops from a walk log instead of deciding them: a looping walk's
+// period, and in a batch the hops an earlier flow's walk decided.  The event
+// simulator must agree too, since it drives the same hop core.
 #include "sim/forwarding_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -15,10 +16,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/protocols.hpp"
 #include "core/policy.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
 #include "net/event_sim.hpp"
@@ -209,7 +213,7 @@ TEST(RouteBatchParity, RandomTopologiesWithArbitraryFailures) {
 /// The storm-geant benchmark's failure model: radius-2 geographic SRLGs on
 /// GEANT, each failing independently with p = 0.02.  About half its draws
 /// partition the graph, so flows towards the cut-off nodes loop until the
-/// TTL guard under PR and LFA, and run() replays their periods.
+/// TTL guard under PR and LFA, and run() takes their hops from the walk log.
 struct GeantStorm {
   graph::Graph g = topo::geant();
   analysis::ProtocolSuite suite{g};
@@ -248,18 +252,20 @@ TEST(RouteBatchParity, GeantStormDrawsAllProtocols) {
     }
   }
 #if !defined(PR_OBS_DISABLED)
-  // The draws exercised the replay: some hops were not decided.
+  // The draws exercised the walk log: some hops were not decided.
   EXPECT_LT(counters.get(obs::Counter::kForwardDecisions),
             counters.get(obs::Counter::kForwardHops));
 #endif
 }
 
 TEST(RouteBatchParity, TtlSweepOverLoopingFlowsCoversEveryRemainder) {
-  // A looping flow's walk is decided until its period is detected and one
-  // more period recorded, replayed for floor(ttl / period) periods, then
-  // decided for the last ttl mod period hops.  Sweeping the TTL from 1 to
+  // A looping walk logs from its eighth hop, decides its period once more
+  // when it first returns to a logged state, then takes floor(ttl / period)
+  // periods and the remainder from the log.  Sweeping the TTL from 1 to
   // twice the default runs every TTL shorter than the detection point and
-  // every remainder mod the period.
+  // every remainder mod the period through route_packet, whose walk has a
+  // log of its own; in the batches, each flow follows the walks of the
+  // shorter-lived flows before it and resumes deciding where they stopped.
   const GeantStorm storm;
   const std::uint32_t max_ttl = 2 * net::default_ttl(storm.g);
   const auto pairs = sim::all_pairs_flows(storm.g);
@@ -300,8 +306,8 @@ TEST(RouteBatchParity, TtlSweepOverLoopingFlowsCoversEveryRemainder) {
 /// node 0 it steps a counter held in (pr_bit, dd, FCP list) -- pr_bit is
 /// the lap count mod 2, dd the next digit mod 3, and the FCP list holds
 /// edge 0 on every other pass of those.  Its darts repeat every lap, its
-/// decision state only every twelve laps: a replay keyed on anything less
-/// than the full state would repeat the wrong period.
+/// decision state only every twelve laps: a log keyed on anything less than
+/// the full state would repeat the wrong period.
 class LapCounter final : public net::ForwardingProtocol {
  public:
   [[nodiscard]] net::ForwardingDecision forward(const net::Network& net,
@@ -333,9 +339,10 @@ class LapCounter final : public net::ForwardingProtocol {
 
 TEST(RouteBatchParity, ReplayKeysOnTheWholeHeaderState) {
   // A 4-ring plus an isolated destination: every walk circles until the TTL
-  // guard.  The 48-hop period is found by hop 112 and recorded by hop 160;
-  // TTLs up to 400 end at every lap count after that, so the final header
-  // shows whether the replay kept the state.
+  // guard.  A walk logs from hop 8, is back at its first logged state after
+  // hop 55 and decides the 48-hop period once more by hop 103; TTLs up to
+  // 400 end at every lap count after that, so the final header shows
+  // whether the replay kept the state.
   graph::Graph g(5);
   for (graph::NodeId v = 0; v < 4; ++v) g.add_edge(v, (v + 1) % 4);
   const net::Network network(g);
@@ -354,6 +361,184 @@ TEST(RouteBatchParity, ReplayKeysOnTheWholeHeaderState) {
 #if !defined(PR_OBS_DISABLED)
   EXPECT_LT(counters.get(obs::Counter::kForwardDecisions),
             counters.get(obs::Counter::kForwardHops));
+#endif
+}
+
+TEST(RouteBatchLog, FlowsTowardsACutOffNodeFollowEarlierWalks) {
+  // Under PR, every flow towards a node a storm cuts off loops until the TTL
+  // guard.  Once the first of them has logged its walk, the others soon reach
+  // a state it logged and follow its hops, so each further flow decides its
+  // first seven hops, which no walk logs, and few more.  Were the log not
+  // shared across the batch, every flow would pay for finding its own period.
+  const GeantStorm storm;
+  const std::size_t n = storm.g.node_count();
+  std::size_t cut_draws = 0;
+  for (std::size_t i = 0; cut_draws < 12; ++i) {
+    ASSERT_LT(i, 1000U) << "too few draws cut a node off";
+    const net::Network network = storm.draw(i);
+    const std::vector<std::uint32_t> component =
+        graph::connected_components(storm.g, &network.failed_links());
+    std::vector<std::size_t> component_size(n, 0);
+    for (const std::uint32_t c : component) ++component_size[c];
+    // The cut-off node: the lowest-numbered node of a smallest component.
+    graph::NodeId cut = 0;
+    for (graph::NodeId v = 1; v < n; ++v) {
+      if (component_size[component[v]] < component_size[component[cut]]) cut = v;
+    }
+    if (component_size[component[cut]] == n) continue;
+    ++cut_draws;
+    std::vector<FlowSpec> flows;
+    for (graph::NodeId s = 0; s < n; ++s) {
+      if (component[s] != component[cut]) flows.push_back(FlowSpec{s, cut});
+    }
+#if !defined(PR_OBS_DISABLED)
+    const auto decisions = [&](std::span<const FlowSpec> batch) {
+      obs::Counters counters;
+      const obs::ScopedSink sink(&counters);
+      const auto proto = storm.suite.pr().make(network);
+      (void)sim::route_batch(network, *proto, batch);
+      return counters.get(obs::Counter::kForwardDecisions);
+    };
+    const std::uint64_t first = decisions(std::span(flows).first(1));
+    EXPECT_LT(decisions(flows), first + 16 * (flows.size() - 1))
+        << "draw " << i << ", " << flows.size() << " flows to node " << cut;
+#endif
+  }
+}
+
+/// Routes towards a lollipop: a tail 0-1-...-9 joined to a ring 10-...-21.
+/// Up the tail, then round the ring, clockwise for even traffic classes and
+/// anticlockwise for odd ones; on the ring it delivers to an adjacent
+/// destination, or, if the link to it is down, sets the PR bit and drops the
+/// packet (kNoRoute).  Walks towards a node off the ring circle until the
+/// TTL guard.
+class Lollipop final : public net::ForwardingProtocol {
+ public:
+  static constexpr graph::NodeId kRingBegin = 10;
+  static constexpr graph::NodeId kRingEnd = 22;
+
+  [[nodiscard]] static graph::Graph graph() {
+    graph::Graph g(25);  // 22 and 24 isolated; 23 hangs off 16
+    for (graph::NodeId v = 0; v < kRingBegin; ++v) g.add_edge(v, v + 1);
+    for (graph::NodeId v = kRingBegin; v < kRingEnd; ++v) {
+      g.add_edge(v, v + 1 == kRingEnd ? kRingBegin : v + 1);
+    }
+    g.add_edge(16, 23);
+    return g;
+  }
+
+  [[nodiscard]] net::ForwardingDecision forward(const net::Network& net,
+                                                graph::NodeId at,
+                                                graph::DartId /*arrived_over*/,
+                                                net::Packet& packet) override {
+    const graph::Graph& g = net.graph();
+    if (at == packet.destination) return net::ForwardingDecision::deliver();
+    if (at >= kRingBegin) {
+      if (const auto d = g.find_dart(at, packet.destination)) {
+        if (net.dart_usable(*d)) return net::ForwardingDecision::forward(*d);
+        packet.pr_bit = true;  // a follower's final header comes from the log
+        return net::ForwardingDecision::drop(net::DropReason::kNoRoute);
+      }
+    }
+    graph::NodeId next = at + 1 == kRingEnd ? kRingBegin : at + 1;
+    if (at >= kRingBegin && packet.traffic_class % 2 == 1) {
+      next = at == kRingBegin ? kRingEnd - 1 : at - 1;
+    }
+    return net::ForwardingDecision::forward(*g.find_dart(at, next));
+  }
+  [[nodiscard]] std::string_view name() const noexcept override { return "lollipop"; }
+};
+
+TEST(RouteBatchLog, EveryWayAFollowedStretchEnds) {
+  // Walks log from their eighth hop, so each later flow below reaches a
+  // logged state at its first lookup (or soon after) and follows hops an
+  // earlier flow of the batch decided.  The default TTL is 4 * 23 + 16 = 108.
+  const graph::Graph g = Lollipop::graph();
+  net::Network network(g);
+  network.fail_link(*g.find_edge(16, 23));
+  const analysis::NamedFactory factory{
+      "lollipop", [](const net::Network&) { return std::make_unique<Lollipop>(); }};
+  const std::vector<FlowSpec> flows = {
+      // Delivered at hop 17; 2 -> 17 follows it to the destination.  The
+      // same flow in class 1 goes round the other way: its states differ
+      // only in the traffic class, and it follows nothing.
+      {0, 17},
+      {2, 17},
+      {2, 17, 0, 1},
+      // Dropped at 16 after 16 hops; 1 -> 23 follows it to the drop, and
+      // 9 -> 23 reaches the logged drop itself at its first lookup.
+      {0, 23},
+      {1, 23},
+      {9, 23},
+      // Circles from hop 10 on; its 12-hop period closes at hop 23.  2 -> 22
+      // joins it on the tail (its transient) and 12 -> 22 inside the period;
+      // both follow it round until the TTL guard.  1 -> 22's TTL of 14 runs
+      // out inside the stretch it follows.
+      {0, 22},
+      {2, 22},
+      {12, 22},
+      {1, 22, 14},
+      // Cut short by its TTL at hop 12; 1 -> 24 follows it there, then
+      // decides on, finds its own period and replays it.
+      {0, 24, 12},
+      {1, 24},
+  };
+  obs::Counters counters;
+  {
+    const obs::ScopedSink sink(&counters);
+    expect_parity(network, factory, flows);
+  }
+#if !defined(PR_OBS_DISABLED)
+  // Seven flows join per batch, in each of expect_parity's four batches,
+  // and the three that end in the drop at 16 end with its PR bit set.
+  EXPECT_EQ(counters.get(obs::Counter::kForwardJoins), 4U * 7);
+  EXPECT_EQ(counters.get(obs::Counter::kCycleFollowFlows), 4U * 3);
+  EXPECT_LT(counters.get(obs::Counter::kForwardDecisions),
+            counters.get(obs::Counter::kForwardHops) / 2);
+#endif
+}
+
+/// Breaks the decision contract by reading packet.source: on the lollipop's
+/// ring, walks from odd sources turn back at node 15.
+class SourceReader final : public net::ForwardingProtocol {
+ public:
+  [[nodiscard]] net::ForwardingDecision forward(const net::Network& net,
+                                                graph::NodeId at,
+                                                graph::DartId arrived_over,
+                                                net::Packet& packet) override {
+    if (at == 15 && packet.source % 2 == 1) {
+      return net::ForwardingDecision::forward(graph::reverse(arrived_over));
+    }
+    return lollipop_.forward(net, at, arrived_over, packet);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "source-reader";
+  }
+
+ private:
+  Lollipop lollipop_;
+};
+
+TEST(RouteBatchLog, CrossFlowContractBreachIsCaughtInDebugBuilds) {
+  // 1 -> 22 reaches a state 0 -> 22 logged and would follow it past node
+  // 15, where this protocol sends it elsewhere.  Debug builds re-decide
+  // every followed hop and throw; a single walk has no other walk to follow
+  // and matches the hop-by-hop walk in every build.
+  const graph::Graph g = Lollipop::graph();
+  const net::Network network(g);
+  const std::vector<FlowSpec> flows = {{0, 22}, {1, 22}};
+  SourceReader reference_proto;
+  SourceReader walker;
+  for (const FlowSpec& flow : flows) {
+    const ReferenceWalk want = test_support::reference_walk(
+        network, reference_proto, flow.source, flow.destination);
+    const net::PathTrace got =
+        net::route_packet(network, walker, flow.source, flow.destination);
+    EXPECT_EQ(got.nodes, want.trace.nodes);
+  }
+#ifndef NDEBUG
+  SourceReader batched;
+  EXPECT_THROW((void)sim::route_batch(network, batched, flows), std::logic_error);
 #endif
 }
 

@@ -25,9 +25,11 @@ REQUIRED_KEYS = {
         "batch_stats_ns_per_flow",
         "batch_full_trace_ns_per_flow",
         "speedup_stats_vs_per_packet",
-        # Looping row (walks replayed until the TTL guard, checked against
-        # the hop-by-hop walk before timing).
+        # Looping row (walks taken from the walk log until the TTL guard,
+        # per packet and batched, checked against the hop-by-hop walk before
+        # timing).
         "looping",
+        "per_packet_ns_per_hop",
         "batch_stats_ns_per_hop",
         "batch_full_trace_ns_per_hop",
     ],
