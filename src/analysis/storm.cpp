@@ -326,9 +326,8 @@ StormRunResult run_storm_experiment_resilient(
     for (std::size_t i = 0; i < protocols.size(); ++i) {
       passes[i].groups.affected_flows({}, scratch.affected_mark, scratch.affected);
       pristine_cells[i] = evaluate_cell(g, pristine, pristine_component, protocols[i],
-                                        pristine_cache, passes[i].flows, passes[i].costs,
-                                        flows, demands, offered, plan, batch, load,
-                                        scratch);
+                                        pristine_cache, passes[i].flows, flows, demands,
+                                        offered, plan, batch, load, scratch);
     }
   }
 
@@ -362,8 +361,8 @@ StormRunResult run_storm_experiment_resilient(
   const std::size_t group_count = model.catalog().group_count();
 
   // Flat-memory plumbing: a slot ring of the executor's reorder window, one
-  // storm/component scratch and one overlay network per worker, and the
-  // streaming reducers.  Nothing here grows with config.scenarios.
+  // storm/component scratch per worker, and the streaming reducers.  Nothing
+  // here grows with config.scenarios.
   struct WorkerScratch {
     net::StormSample sample;
     graph::ComponentScratch components;
@@ -378,9 +377,6 @@ StormRunResult run_storm_experiment_resilient(
   const std::size_t window = executor.default_ordered_window();
   std::vector<Slot> slots(window);
   std::vector<WorkerScratch> scratches(executor.thread_count());
-  std::vector<net::Network> networks;
-  networks.reserve(executor.thread_count());
-  for (std::size_t w = 0; w < executor.thread_count(); ++w) networks.emplace_back(g);
 
   StormExperimentResult& result = state.result;
 
@@ -394,7 +390,6 @@ StormRunResult run_storm_experiment_resilient(
     ctx.rng() = graph::Rng(sim::split_seed(config.seed, scenario));
     Slot& slot = slots[unit % window];
     WorkerScratch& ws = scratches[ctx.worker()];
-    net::Network& network = networks[ctx.worker()];
 
     model.sample(ctx.rng(), ws.sample);
     if (faults != nullptr && faults->malformed(unit)) {
@@ -420,6 +415,9 @@ StormRunResult run_storm_experiment_resilient(
       return;
     }
 
+    // A network of the unit's own: a cell that throws cannot leave its
+    // failures behind for the next unit its worker runs.
+    net::Network network(g);
     for (const graph::EdgeId e : ws.sample.failures.elements()) {
       network.fail_link(e);
     }
@@ -431,12 +429,8 @@ StormRunResult run_storm_experiment_resilient(
       passes[i].groups.affected_flows(slot.groups, ctx.incidence.affected_mark,
                                       ctx.incidence.affected);
       slot.cells[i] = evaluate_cell(g, network, ws.components.component, protocols[i],
-                                    ctx.routes, passes[i].flows, passes[i].costs, flows,
-                                    demands, offered, plan, ctx.batch, ctx.load,
-                                    ctx.incidence);
-    }
-    for (const graph::EdgeId e : ws.sample.failures.elements()) {
-      network.restore_link(e);
+                                    ctx.routes, passes[i].flows, flows, demands, offered,
+                                    plan, ctx.batch, ctx.load, ctx.incidence);
     }
   };
   const sim::SweepExecutor::ReduceFn reduce_fn = [&](std::size_t unit) {
@@ -573,9 +567,9 @@ StormOracleResult run_exhaustive_storm(const graph::Graph& g,
     for (std::size_t i = 0; i < protocols.size(); ++i) {
       passes[i].groups.affected_flows(scenario.groups, scratch.affected_mark,
                                       scratch.affected);
-      const CellOutcome cell = evaluate_cell(
-          g, network, components.component, protocols[i], cache, passes[i].flows,
-          passes[i].costs, flows, demands, offered, plan, batch, load, scratch);
+      const CellOutcome cell =
+          evaluate_cell(g, network, components.component, protocols[i], cache,
+                        passes[i].flows, flows, demands, offered, plan, batch, load, scratch);
       StormOracleProtocol& p = result.protocols[i];
       const double w = scenario.probability;
       p.mean_max_utilization += w * cell.metrics.max_utilization;

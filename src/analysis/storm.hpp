@@ -7,7 +7,7 @@
 // instead: scenarios are drawn on the fly from per-unit split-seed RNG
 // streams, each is probed through the SRLG-grained traffic::GroupIncidence
 // and priced by the traffic driver's incremental cell (analysis::evaluate_cell,
-// with max-stretch tracking switched on by the pristine costs), and
+// whose max stretch divides by the pristine pass's path costs), and
 // everything folds into O(1) reducer state -- P^2 quantile markers, running
 // sums, a bounded top-K worst-scenario heap -- through the executor's
 // ordered reduce, whose canonical order makes every reducer bit-identical at
@@ -163,8 +163,9 @@ struct StormRunOptions {
 /// result over the first `completed_scenarios` scenarios, the executor's
 /// stop report, and a checkpoint blob that resumes the sweep from exactly
 /// here.  result.scenarios == completed_scenarios; every reducer holds the
-/// canonical prefix [0, completed_scenarios) of the scenario stream, so
-/// partial results are themselves bit-identical to a smaller run.
+/// canonical prefix [0, completed_scenarios) of the scenario stream, minus
+/// the failed scenarios under UnitErrorPolicy::kContinue, which feed no
+/// reducer.  Partial results are themselves bit-identical to a smaller run.
 struct StormRunResult {
   StormExperimentResult result;
   sim::SweepOutcome outcome;
@@ -185,7 +186,8 @@ struct StormRunResult {
 /// sweep stops cooperatively at scenario boundaries on cancel/deadline/
 /// budget and contains per-scenario failures per the control's error policy;
 /// whatever the stop cause, the returned reducers cover exactly
-/// [0, completed_scenarios) and resuming from the checkpoint -- at ANY
+/// [0, completed_scenarios), less any scenario that failed under
+/// UnitErrorPolicy::kContinue, and resuming from the checkpoint -- at ANY
 /// thread count -- finishes to results bit-identical to an uninterrupted
 /// run.  Scenario draws are validated against the model's group catalog
 /// (malformed samples are contained as unit errors, never dereferenced).

@@ -52,16 +52,11 @@ std::vector<PristinePass> build_pristine_passes(
     route::ScenarioRoutingCache& cache, const net::SrlgCatalog* catalog) {
   std::vector<PristinePass> passes(protocols.size());
   const net::Network pristine(g);
-  sim::BatchResult batch;
   for (std::size_t i = 0; i < protocols.size(); ++i) {
     PristinePass& pass = passes[i];
     const auto instance = make_protocol(protocols[i], pristine, cache);
     pass.flows.build(pristine, *instance, flows, demands);
-    if (catalog == nullptr) continue;
-    pass.groups.build(pass.flows, *catalog);
-    sim::route_batch(pristine, *instance, flows, sim::TraceMode::kStats, batch);
-    pass.costs.resize(flows.size());
-    for (std::size_t f = 0; f < flows.size(); ++f) pass.costs[f] = batch[f].cost;
+    if (catalog != nullptr) pass.groups.build(pass.flows, *catalog);
   }
   return passes;
 }
@@ -70,9 +65,8 @@ CellOutcome evaluate_cell(
     const graph::Graph& g, const net::Network& network,
     std::span<const std::uint32_t> component, const NamedFactory& factory,
     route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
-    std::span<const double> pristine_costs, std::span<const sim::FlowSpec> flows,
-    std::span<const double> demands, double offered_pps,
-    const traffic::CapacityPlan& plan, sim::BatchResult& batch,
+    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
+    double offered_pps, const traffic::CapacityPlan& plan, sim::BatchResult& batch,
     traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
   // Re-route the affected flows in canonical flow order.  When the scenario
   // touches no pristine path there is nothing to re-route: the protocol
@@ -103,8 +97,8 @@ CellOutcome evaluate_cell(
     if (scratch.affected_mark[f] != 0) {
       for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
       delivered = batch[a].delivered();
-      if (!pristine_costs.empty() && delivered && pristine_costs[f] > 0.0) {
-        out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
+      if (delivered && index.pristine_cost(f) > 0.0) {
+        out.max_stretch = std::max(out.max_stretch, batch[a].cost / index.pristine_cost(f));
       }
       ++a;
     } else {
@@ -202,8 +196,8 @@ struct TrafficSweep {
     pristine[i].flows.affected_flows(network.failed_links(), scratch.affected_mark,
                                      scratch.affected);
     CellOutcome cell = evaluate_cell(g, network, component, protocols[i], cache,
-                                     pristine[i].flows, {}, flows, demands, offered,
-                                     plan, batch, load, scratch);
+                                     pristine[i].flows, flows, demands, offered, plan,
+                                     batch, load, scratch);
 #ifndef NDEBUG
     sim::BatchResult oracle_batch;
     traffic::LoadMap oracle_load;

@@ -167,16 +167,17 @@ void validate_sweep_inputs(const char* driver, const graph::Graph& g,
                            const std::vector<NamedFactory>& protocols);
 
 /// What one pristine routing pass of a protocol over the sweep's work-list
-/// leaves every scenario cell.
+/// leaves every scenario cell: the flow index (paths, delivery and the costs
+/// stretch divides by) and, for storm sweeps, its group view.
 struct PristinePass {
   traffic::FlowIncidenceIndex flows;
   traffic::GroupIncidence groups;  ///< SRLG-grained view (storm sweeps only)
-  std::vector<double> costs;       ///< per-flow path cost (storm sweeps only)
 };
 
-/// One pristine pass per protocol over `flows`.  `cache` warms with the
-/// pristine tables every scenario repair then starts from.  A `catalog` adds
-/// the storm extras: the group view and the costs stretch divides by.
+/// One pristine pass per protocol over `flows`: each protocol is routed
+/// once, by FlowIncidenceIndex::build.  `cache` warms with the pristine
+/// tables every scenario repair then starts from.  A `catalog` adds the
+/// group view the storm sweeps probe.
 [[nodiscard]] std::vector<PristinePass> build_pristine_passes(
     const graph::Graph& g, const std::vector<NamedFactory>& protocols,
     std::span<const sim::FlowSpec> flows, std::span<const double> demands,
@@ -191,24 +192,23 @@ struct CellOutcome {
   std::size_t rerouted = 0;
 };
 
-/// The incremental cell over a work-list `flows`/`demands` that `index` (and
-/// a non-empty `pristine_costs`) was built from.  The caller probes the
-/// affected flows into `scratch` (affected and affected_mark, as the
-/// affected_flows probes of FlowIncidenceIndex and GroupIncidence leave
-/// them); the cell re-routes only those with full traces, rebuilds `load` by
-/// replaying every flow in canonical flow order -- `index`'s pristine rows
-/// for the untouched majority, the fresh paths for the rest -- splits
-/// dropped demand into lost (source and destination share a `component`)
-/// and stranded, and applies utilization against `plan`.  It tracks
-/// max_stretch only when handed `pristine_costs`.  When nothing is affected
-/// no protocol instance is built at all.
+/// The incremental cell over a work-list `flows`/`demands` that `index` was
+/// built from.  The caller probes the affected flows into `scratch`
+/// (affected and affected_mark, as the affected_flows probes of
+/// FlowIncidenceIndex and GroupIncidence leave them); the cell re-routes
+/// only those with full traces, rebuilds `load` by replaying every flow in
+/// canonical flow order -- `index`'s pristine rows for the untouched
+/// majority, the fresh paths for the rest -- splits dropped demand into lost
+/// (source and destination share a `component`) and stranded, and applies
+/// utilization against `plan`.  max_stretch divides each delivered re-routed
+/// flow's cost by `index`'s pristine cost.  When nothing is affected no
+/// protocol instance is built at all.
 [[nodiscard]] CellOutcome evaluate_cell(
     const graph::Graph& g, const net::Network& network,
     std::span<const std::uint32_t> component, const NamedFactory& factory,
     route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
-    std::span<const double> pristine_costs, std::span<const sim::FlowSpec> flows,
-    std::span<const double> demands, double offered_pps,
-    const traffic::CapacityPlan& plan, sim::BatchResult& batch,
+    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
+    double offered_pps, const traffic::CapacityPlan& plan, sim::BatchResult& batch,
     traffic::LoadMap& load, traffic::IncidenceScratch& scratch);
 
 }  // namespace pr::analysis

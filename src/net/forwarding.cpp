@@ -62,14 +62,19 @@ PathTrace route_packet(const Network& net, ForwardingProtocol& protocol, NodeId 
   PathTrace trace;
   trace.nodes.push_back(source);
   struct NodeSink {
+    const Graph* g;
     std::vector<NodeId>* nodes;
     void hop(const sim::FlowState& s) { nodes->push_back(s.at); }
-    void span(std::span<const DartId>, std::span<const NodeId> heads, std::uint32_t laps) {
-      for (std::uint32_t lap = 0; lap < laps; ++lap) {
-        nodes->insert(nodes->end(), heads.begin(), heads.end());
+    void span(std::span<const DartId> darts, std::uint32_t laps) {
+      // The heads of one lap, then laps - 1 copies of them.
+      const std::size_t first = nodes->size();
+      for (const DartId d : darts) nodes->push_back(g->dart_head(d));
+      nodes->resize(first + darts.size() * laps);
+      for (std::size_t i = first + darts.size(); i < nodes->size(); ++i) {
+        (*nodes)[i] = (*nodes)[i - darts.size()];
       }
     }
-  } sink{&trace.nodes};
+  } sink{&g, &trace.nodes};
   sim::WalkLog log;  // this walk's own
   const sim::FlowOutcome outcome = engine.run(fs, log, sink);
 

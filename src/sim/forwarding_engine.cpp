@@ -41,7 +41,6 @@ std::uint64_t mix_state(DartId arrived_over, std::uint32_t dd, NodeId destinatio
 
 void WalkLog::clear() noexcept {
   darts_.clear();
-  heads_.clear();
   states_.clear();
   fcp_pool_.clear();
   if (index_mask_ != 0) {
@@ -101,8 +100,7 @@ WalkLog::Probe WalkLog::find(const FlowState& fs) const {
   }
 }
 
-void WalkLog::push_entry(DartId dart, NodeId head, const FlowState& fs,
-                         std::uint8_t flags) {
+void WalkLog::push_entry(DartId dart, const FlowState& fs, std::uint8_t flags) {
   if (size() >= kNone / 2) {
     throw std::length_error("WalkLog: more entries than a call can index");
   }
@@ -124,28 +122,25 @@ void WalkLog::push_entry(DartId dart, NodeId head, const FlowState& fs,
     }
   }
   darts_.push_back(dart);
-  heads_.push_back(head);
   states_.push_back(state);
 }
 
 std::uint32_t WalkLog::open_stretch(const FlowState& fs) {
   darts_.reserve(kInitialEntries);  // no-ops once warm
-  heads_.reserve(kInitialEntries);
   states_.reserve(kInitialEntries);
-  push_entry(fs.arrived_over, fs.at, fs, kSeed);
+  push_entry(fs.arrived_over, fs, kSeed);
   return static_cast<std::uint32_t>(size() - 1);
 }
 
-void WalkLog::append_hop(const Probe& probe, DartId out, NodeId head,
-                         const FlowState& fs) {
-  push_entry(out, head, fs, 0);
+void WalkLog::append_hop(const Probe& probe, DartId out, const FlowState& fs) {
+  push_entry(out, fs, 0);
   index(probe);
 }
 
 void WalkLog::append_drop(const Probe& probe, DropReason reason, const FlowState& fs) {
   const auto flags =
       static_cast<std::uint8_t>(kDrop | static_cast<unsigned>(reason) << kReasonShift);
-  push_entry(graph::kInvalidDart, graph::kInvalidNode, fs, flags);
+  push_entry(graph::kInvalidDart, fs, flags);
   index(probe);
 }
 
@@ -276,7 +271,7 @@ FlowOutcome ForwardingEngine::run_logged(FlowState& fs, WalkLog& log,
         return finish(outcome_of(d));
       }
       commit(fs, d.out_dart);
-      log.append_hop(probe, d.out_dart, fs.at, fs);
+      log.append_hop(probe, d.out_dart, fs);
       sink.hop(fs);
       continue;
     }
@@ -335,7 +330,6 @@ void ForwardingEngine::take(FlowState& fs, const WalkLog& log, std::uint32_t beg
   if (count == 0 || laps == 0) return;
   const graph::Graph& g = net_->graph();
   const std::span<const DartId> darts = log.darts(begin, count);
-  const std::span<const NodeId> nodes = log.heads(begin, count);
   double cost = fs.cost;
   for (std::uint32_t lap = 0; lap < laps; ++lap) {
     for (const DartId d : darts) cost += g.edge_weight(graph::dart_edge(d));
@@ -343,10 +337,10 @@ void ForwardingEngine::take(FlowState& fs, const WalkLog& log, std::uint32_t beg
   fs.cost = cost;
   fs.hops += count * laps;
   fs.packet.ttl -= count * laps;
-  fs.at = nodes.back();
+  fs.at = g.dart_head(darts.back());
   fs.arrived_over = darts.back();
   log.restore_header(begin + count - 1, fs.packet);
-  sink.span(darts, nodes, laps);
+  sink.span(darts, laps);
 }
 
 std::uint32_t ForwardingEngine::take_cycle(FlowState& fs, const WalkLog& log,
@@ -400,8 +394,8 @@ namespace {
 /// Appends `laps` copies of `values` to `buffer`, growing its capacity by
 /// powers of two as push_back does, so bulk appends leave the buffer no
 /// larger than the same hops pushed one at a time would.
-template <typename T>
-void append(std::vector<T>& buffer, std::span<const T> values, std::uint32_t laps) {
+void append(std::vector<DartId>& buffer, std::span<const DartId> values,
+            std::uint32_t laps) {
   const std::size_t begin = buffer.size();
   const std::size_t count = values.size() * laps;
   if (begin + count > buffer.capacity()) {
@@ -411,7 +405,7 @@ void append(std::vector<T>& buffer, std::span<const T> values, std::uint32_t lap
   // The other laps repeat the first: double the copied run until it covers
   // them, so short periods cost a few copies rather than one per lap.
   buffer.resize(begin + count);
-  T* const out = buffer.data() + begin;
+  DartId* const out = buffer.data() + begin;
   for (std::size_t done = values.size(); done < count;) {
     const std::size_t n = std::min(done, count - done);
     std::copy_n(out, n, out + done);
@@ -442,24 +436,19 @@ struct StatsSink {
   Load load;
 
   void hop(const FlowState& fs) { load.hop(fs.arrived_over); }
-  void span(std::span<const DartId> darts, std::span<const NodeId>, std::uint32_t laps) {
-    load.span(darts, laps);
-  }
+  void span(std::span<const DartId> darts, std::uint32_t laps) { load.span(darts, laps); }
 };
 
 template <typename Load>
 struct TraceSink {
-  std::vector<NodeId>* nodes;
   std::vector<DartId>* darts;
   Load load;
 
   void hop(const FlowState& fs) {
-    nodes->push_back(fs.at);
     darts->push_back(fs.arrived_over);
     load.hop(fs.arrived_over);
   }
-  void span(std::span<const DartId> ds, std::span<const NodeId> vs, std::uint32_t laps) {
-    append(*nodes, vs, laps);
+  void span(std::span<const DartId> ds, std::uint32_t laps) {
     append(*darts, ds, laps);
     load.span(ds, laps);
   }
@@ -472,9 +461,9 @@ struct TraceSink {
 template <typename LoadOf>
 void run_flow_batch(const Network& net, ForwardingProtocol& protocol,
                     std::span<const FlowSpec> flows, TraceMode mode,
-                    std::vector<FlowStats>& stats, std::vector<NodeId>& nodes,
-                    std::vector<DartId>& darts, std::vector<std::size_t>& offsets,
-                    WalkLog& log, std::size_t& delivered, LoadOf&& load_of) {
+                    std::vector<FlowStats>& stats, std::vector<DartId>& darts,
+                    std::vector<std::size_t>& offsets, WalkLog& log,
+                    std::size_t& delivered, LoadOf&& load_of) {
   const graph::Graph& g = net.graph();
   for (const FlowSpec& flow : flows) {
     if (flow.source >= g.node_count() || flow.destination >= g.node_count()) {
@@ -506,9 +495,8 @@ void run_flow_batch(const Network& net, ForwardingProtocol& protocol,
 
     FlowOutcome outcome;
     if (mode == TraceMode::kFullTrace) {
-      offsets.push_back(nodes.size());
-      nodes.push_back(flow.source);
-      TraceSink sink{&nodes, &darts, load_of(i)};
+      offsets.push_back(darts.size());
+      TraceSink sink{&darts, load_of(i)};
       outcome = engine.run(fs, log, sink);
     } else {
       StatsSink sink{load_of(i)};
@@ -535,7 +523,7 @@ void run_flow_batch(const Network& net, ForwardingProtocol& protocol,
       }
     }
   }
-  if (mode == TraceMode::kFullTrace) offsets.push_back(nodes.size());
+  if (mode == TraceMode::kFullTrace) offsets.push_back(darts.size());
   if (observed) {
     obs::count(obs::Counter::kFlowsRouted, flows.size());
     obs::count(obs::Counter::kFlowsDelivered, obs_delivered);
@@ -554,9 +542,8 @@ void route_batch(const Network& net, ForwardingProtocol& protocol,
                  std::span<const FlowSpec> flows, TraceMode mode, BatchResult& out) {
   out.clear();
   out.mode_ = mode;
-  run_flow_batch(net, protocol, flows, mode, out.stats_, out.nodes_, out.darts_,
-                 out.offsets_, out.log_, out.delivered_,
-                 [](std::size_t) { return NoLoad{}; });
+  run_flow_batch(net, protocol, flows, mode, out.stats_, out.darts_, out.offsets_,
+                 out.log_, out.delivered_, [](std::size_t) { return NoLoad{}; });
 }
 
 BatchResult route_batch(const Network& net, ForwardingProtocol& protocol,
@@ -575,9 +562,8 @@ void route_batch(const Network& net, ForwardingProtocol& protocol,
   out.clear();
   out.mode_ = mode;
   load.reset(net.graph().dart_count());
-  run_flow_batch(net, protocol, flows, mode, out.stats_, out.nodes_, out.darts_,
-                 out.offsets_, out.log_, out.delivered_,
-                 [&load, demands](std::size_t i) {
+  run_flow_batch(net, protocol, flows, mode, out.stats_, out.darts_, out.offsets_,
+                 out.log_, out.delivered_, [&load, demands](std::size_t i) {
                    return DemandLoad{&load, demands[i]};
                  });
 }

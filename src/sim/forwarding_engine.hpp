@@ -96,13 +96,13 @@ struct FlowOutcome {
 /// class, arrival dart (which implies the node), PR bit, DD bits and FCP list
 /// (see net::ForwardingProtocol) -- so a state the log holds fixes the hop
 /// decided from it, whichever walk of the call reaches it.  From its
-/// kLogFrom-th hop on, a walk appends every hop it decides: the dart, the
-/// node it leads to, and the header after the decision, or the drop reason
-/// when the protocol dropped the packet.  The state a hop leads to is its own
-/// dart plus that header, so an entry is indexed by its predecessor's and no
-/// key is copied.  Each stretch a walk logs starts with a seed entry holding
-/// the state the stretch starts from; seeds are never indexed, and the entry
-/// after a hop is its successor unless it is a seed.
+/// kLogFrom-th hop on, a walk appends every hop it decides: the dart and the
+/// header after the decision, or the drop reason when the protocol dropped
+/// the packet.  The state a hop leads to is its own dart plus that header, so
+/// an entry is indexed by its predecessor's and no key is copied.  Each
+/// stretch a walk logs starts with a seed entry holding the state the stretch
+/// starts from; seeds are never indexed, and the entry after a hop is its
+/// successor unless it is a seed.
 ///
 /// Not thread-safe; one log serves one walk at a time.  Warm, it allocates
 /// nothing: clear() keeps every buffer's capacity.
@@ -136,10 +136,10 @@ class WalkLog {
   /// Starts a stretch at the state of `fs`; returns the seed's index.
   std::uint32_t open_stretch(const FlowState& fs);
 
-  /// Appends the hop `out` to `head` decided from the probed state, with the
-  /// header of `fs` after the decision.  Call only while a stretch is open
-  /// and the probed state is the state it reached.
-  void append_hop(const Probe& probe, DartId out, NodeId head, const FlowState& fs);
+  /// Appends the hop `out` decided from the probed state, with the header of
+  /// `fs` after the decision.  Call only while a stretch is open and the
+  /// probed state is the state it reached.
+  void append_hop(const Probe& probe, DartId out, const FlowState& fs);
 
   /// Appends the drop decided from the probed state, with the header of `fs`
   /// after the decision.  Ends the stretch.
@@ -150,11 +150,6 @@ class WalkLog {
   [[nodiscard]] std::span<const DartId> darts(std::uint32_t begin,
                                               std::uint32_t count) const noexcept {
     return std::span<const DartId>(darts_).subspan(begin, count);
-  }
-  /// The nodes those hops lead to.
-  [[nodiscard]] std::span<const NodeId> heads(std::uint32_t begin,
-                                              std::uint32_t count) const noexcept {
-    return std::span<const NodeId>(heads_).subspan(begin, count);
   }
 
   /// Number of consecutive hops from entry `begin` on, at most `limit`: the
@@ -194,14 +189,13 @@ class WalkLog {
   [[nodiscard]] std::span<const graph::EdgeId> fcp_list(std::uint32_t fcp) const;
   [[nodiscard]] bool keyed_by(std::uint32_t entry, const FlowState& fs) const;
   [[nodiscard]] std::uint64_t key_hash(std::uint32_t entry) const;
-  void push_entry(DartId dart, NodeId head, const FlowState& fs, std::uint8_t flags);
+  void push_entry(DartId dart, const FlowState& fs, std::uint8_t flags);
   void index(const Probe& probe);
   void grow_index();
 
-  // One element per entry in each; the trace sinks copy darts and nodes out
-  // of the first two in bulk.
+  // One element per entry in each; the trace sinks copy darts out of the
+  // first in bulk.
   std::vector<DartId> darts_;
-  std::vector<NodeId> heads_;
   std::vector<State> states_;
   /// FCP lists of logged headers, each stored as its length then its edges.
   std::vector<graph::EdgeId> fcp_pool_;
@@ -237,9 +231,9 @@ class ForwardingEngine {
   /// walks run on it (route_batch clears it once per call).  `sink` is told
   /// about every hop the flow takes, in walk order: sink.hop(fs) after each
   /// decided hop (fs.at and fs.arrived_over are the node reached and the dart
-  /// crossed), and sink.span(darts, nodes, laps) for hops taken from the log
-  /// in one go: the logged darts and the nodes they lead to, `laps` times
-  /// over.  The source is already in `fs`, so it is not reported.
+  /// crossed), and sink.span(darts, laps) for hops taken from the log in one
+  /// go: the logged darts, `laps` times over, each leading to its head.  The
+  /// source is already in `fs`, so it is not reported.
   ///
   /// The walk log.  Walks shorter than WalkLog::kLogFrom hops are a plain
   /// decide/commit loop.  From that hop on, run() looks the walk's decision
@@ -257,11 +251,11 @@ class ForwardingEngine {
   ///     and throw std::logic_error on a mismatch.
   ///
   /// A hop taken from the log never calls the protocol.  Its cost is still
-  /// added hop by hop in walk order, so the cost sum, hops, TTL, darts,
-  /// nodes, final header and drop reason equal the hop-by-hop
-  /// decide()/commit() walk bit for bit, which stays the reference.  The
-  /// header is exact only when run() returns: during a taken stretch it may
-  /// still hold the state the stretch starts from.
+  /// added hop by hop in walk order, so the cost sum, hops, TTL, darts, final
+  /// header and drop reason equal the hop-by-hop decide()/commit() walk bit
+  /// for bit, which stays the reference.  The header is exact only when run()
+  /// returns: during a taken stretch it may still hold the state the stretch
+  /// starts from.
   template <typename Sink>
   FlowOutcome run(FlowState& fs, WalkLog& log, Sink& sink) const {
     while (true) {
@@ -288,20 +282,19 @@ class ForwardingEngine {
     explicit SinkRef(Sink& sink) noexcept
         : self_(&sink),
           hop_([](void* s, const FlowState& fs) { static_cast<Sink*>(s)->hop(fs); }),
-          span_([](void* s, std::span<const DartId> darts, std::span<const NodeId> nodes,
-                   std::uint32_t laps) { static_cast<Sink*>(s)->span(darts, nodes, laps); }) {}
+          span_([](void* s, std::span<const DartId> darts, std::uint32_t laps) {
+            static_cast<Sink*>(s)->span(darts, laps);
+          }) {}
 
     void hop(const FlowState& fs) const { hop_(self_, fs); }
-    void span(std::span<const DartId> darts, std::span<const NodeId> nodes,
-              std::uint32_t laps) const {
-      span_(self_, darts, nodes, laps);
+    void span(std::span<const DartId> darts, std::uint32_t laps) const {
+      span_(self_, darts, laps);
     }
 
    private:
     void* self_;
     void (*hop_)(void*, const FlowState&);
-    void (*span_)(void*, std::span<const DartId>, std::span<const NodeId>,
-                  std::uint32_t);
+    void (*span_)(void*, std::span<const DartId>, std::uint32_t);
   };
 
   /// The rest of run() for a walk that has taken kLogFrom - 1 hops.
@@ -339,8 +332,8 @@ class ForwardingEngine {
 enum class TraceMode : std::uint8_t {
   kStats,      ///< delivery status / drop reason / hops / cost only; no per-flow
                ///< heap traffic at all once the result buffers are warm
-  kFullTrace,  ///< additionally record every flow's node and dart sequences
-               ///< (flattened)
+  kFullTrace,  ///< additionally record every flow's dart sequence (flattened);
+               ///< its nodes are the source and the darts' heads
 };
 
 /// One (source, destination) trial of a sweep.
@@ -380,29 +373,19 @@ class BatchResult {
     return stats_.size() - delivered_;
   }
 
-  /// Node sequence of flow `flow` (source first).  Empty in stats mode.
-  [[nodiscard]] std::span<const NodeId> nodes(std::size_t flow) const {
-    if (mode_ == TraceMode::kStats) return {};
-    return std::span<const NodeId>(nodes_).subspan(
-        offsets_.at(flow), offsets_.at(flow + 1) - offsets_.at(flow));
-  }
-
   /// Dart sequence of flow `flow` (the interfaces the flow actually crossed,
   /// in hop order -- exactly the darts the demand-weighted overload charges).
-  /// Empty in stats mode.  A flow's dart count is its node count minus one,
-  /// so the node fenceposts serve both views: darts of flow f start at
-  /// offsets_[f] - f.
+  /// The flow's node sequence is its source followed by the darts' heads.
+  /// Empty in stats mode.
   [[nodiscard]] std::span<const DartId> darts(std::size_t flow) const {
     if (mode_ == TraceMode::kStats) return {};
-    const std::size_t begin = offsets_.at(flow) - flow;
-    const std::size_t end = offsets_.at(flow + 1) - (flow + 1);
-    return std::span<const DartId>(darts_).subspan(begin, end - begin);
+    return std::span<const DartId>(darts_).subspan(
+        offsets_.at(flow), offsets_.at(flow + 1) - offsets_.at(flow));
   }
 
   /// Empties the result but keeps every buffer's capacity.
   void clear() noexcept {
     stats_.clear();
-    nodes_.clear();
     darts_.clear();
     offsets_.clear();
     log_.clear();
@@ -417,7 +400,6 @@ class BatchResult {
                           traffic::LoadMap&, TraceMode, BatchResult&);
 
   std::vector<FlowStats> stats_;
-  std::vector<NodeId> nodes_;         // full-trace mode: all sequences, flattened
   std::vector<DartId> darts_;         // full-trace mode: hops taken, flattened
   std::vector<std::size_t> offsets_;  // full-trace mode: size()+1 fenceposts
   WalkLog log_;                       // the walk log of the last call

@@ -20,7 +20,7 @@ void FlowIncidenceIndex::build(const net::Network& net,
         "FlowIncidenceIndex::build: one demand per flow required");
   }
 
-  // One pristine routing pass: stats, node/dart traces and the demand-weighted
+  // One pristine routing pass: stats, dart traces and the demand-weighted
   // load map all come from the same route_batch call the sweeps use, so the
   // recorded paths are exactly what a zero-failure scenario would walk.
   sim::BatchResult batch;
@@ -32,11 +32,13 @@ void FlowIncidenceIndex::build(const net::Network& net,
   path_offsets_.reserve(flows.size() + 1);
   path_darts_.clear();
   delivered_.resize(flows.size());
+  costs_.resize(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const auto darts = batch.darts(f);
     path_darts_.insert(path_darts_.end(), darts.begin(), darts.end());
     path_offsets_.push_back(path_darts_.size());
     delivered_[f] = batch[f].delivered() ? 1 : 0;
+    costs_[f] = batch[f].cost;
   }
 
   // Reverse index, counting-sort style.  `last` dedupes repeated crossings of

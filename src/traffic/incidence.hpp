@@ -45,9 +45,9 @@ class FlowIncidenceIndex {
   /// Routes every flow of `flows` through the pristine `net` under
   /// `protocol` (same order and hop semantics as the sweep's route_batch)
   /// and records the per-flow dart paths, per-dart flow incidence, per-flow
-  /// delivery outcomes and the demand-weighted pristine LoadMap.  `net` must
-  /// carry no failures and `demands` one rate per flow (throws
-  /// std::invalid_argument otherwise).  Rebuilding reuses storage.
+  /// delivery outcomes and path costs, and the demand-weighted pristine
+  /// LoadMap.  `net` must carry no failures and `demands` one rate per flow
+  /// (throws std::invalid_argument otherwise).  Rebuilding reuses storage.
   void build(const net::Network& net, net::ForwardingProtocol& protocol,
              std::span<const sim::FlowSpec> flows, std::span<const double> demands);
 
@@ -67,6 +67,9 @@ class FlowIncidenceIndex {
   [[nodiscard]] bool pristine_delivered(std::size_t flow) const {
     return delivered_.at(flow) != 0;
   }
+
+  /// Cost of flow `flow`'s pristine path (what stretch divides by).
+  [[nodiscard]] double pristine_cost(std::size_t flow) const { return costs_.at(flow); }
 
   /// Flows whose pristine path crosses dart `d`, sorted ascending, deduped.
   [[nodiscard]] std::span<const std::uint32_t> dart_flows(graph::DartId d) const {
@@ -92,6 +95,7 @@ class FlowIncidenceIndex {
   std::vector<std::size_t> path_offsets_;  ///< flow_count()+1 fenceposts
   std::vector<graph::DartId> path_darts_;
   std::vector<std::uint8_t> delivered_;  ///< pristine delivery per flow
+  std::vector<double> costs_;            ///< pristine path cost per flow
   // Per-dart incidence, CSR over flow ids (sorted, deduped per dart).
   std::vector<std::size_t> dart_offsets_;  ///< dart count + 1 fenceposts
   std::vector<std::uint32_t> dart_flows_;

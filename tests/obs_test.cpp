@@ -297,8 +297,8 @@ TEST(ObsExecutor, CountersAndTraceFollowTheSweep) {
       out[unit] = unit * 3 + 1;
     });
 
-    const Counters total = registry.aggregate();
 #if !defined(PR_OBS_DISABLED)
+    const Counters total = registry.aggregate();
     EXPECT_EQ(total.get(Counter::kUnitsExecuted), kUnits) << threads;
     EXPECT_EQ(total.phase_calls(Phase::kUnit), kUnits) << threads;
     EXPECT_EQ(total.get(Counter::kUnitErrors), 0u);
@@ -418,9 +418,11 @@ TEST(ObsDeterminism, ForwardDecisionsRepeatExactlyAcrossThreadCounts) {
   StormFixture f;
   f.protocols = {f.suite.pr(), f.suite.lfa()};
   std::string baseline_checkpoint;
+#if !defined(PR_OBS_DISABLED)
   std::uint64_t baseline_hops = 0;
   std::uint64_t baseline_decisions = 0;
   std::uint64_t baseline_joins = 0;
+#endif
   for (const std::size_t threads : {1u, 2u, 8u}) {
     sim::SweepExecutor plain_executor(threads);
     const analysis::StormRunResult plain = f.run(plain_executor);

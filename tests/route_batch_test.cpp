@@ -2,13 +2,14 @@
 //
 // The engine is only allowed to be fast, not different: for every protocol,
 // topology and failure set, route_packet and route_batch must report
-// bit-identical delivery status, drop reason, hop count, cost, node and dart
-// sequences, final header and demand-weighted link load to the hop-by-hop
-// decide()/commit() walk (tests/reference_walk.hpp).  That walk is the
-// reference because ForwardingEngine::run, which both front-ends drive,
-// takes hops from a walk log instead of deciding them: a looping walk's
-// period, and in a batch the hops an earlier flow's walk decided.  The event
-// simulator must agree too, since it drives the same hop core.
+// bit-identical delivery status, drop reason, hop count, cost, dart sequence
+// (and route_packet's node sequence), final header and demand-weighted link
+// load to the hop-by-hop decide()/commit() walk (tests/reference_walk.hpp).
+// That walk is the reference because ForwardingEngine::run, which both
+// front-ends drive, takes hops from a walk log instead of deciding them: a
+// looping walk's period, and in a batch the hops an earlier flow's walk
+// decided.  The event simulator must agree too, since it drives the same
+// hop core.
 #include "sim/forwarding_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -159,10 +160,8 @@ void expect_parity(const net::Network& network, const analysis::NamedFactory& fa
     for (const BatchResult* batch : batches) {
       expect_same_stats((*batch)[f], want);
     }
-    EXPECT_TRUE(stats.nodes(f).empty());  // stats mode records no sequences
-    EXPECT_TRUE(stats.darts(f).empty());
+    EXPECT_TRUE(stats.darts(f).empty());  // stats mode records no sequences
     for (const BatchResult* batch : traced_batches) {
-      EXPECT_TRUE(std::ranges::equal(batch->nodes(f), want.nodes));
       EXPECT_TRUE(std::ranges::equal(batch->darts(f), reference[f].darts));
     }
     if (want.delivered()) ++delivered;
@@ -592,7 +591,7 @@ TEST(RouteBatch, ReusedResultBufferIsEquivalent) {
   sim::route_batch(network, *second_proto, flows, TraceMode::kStats, reused);
   EXPECT_EQ(reused.size(), flows.size());
   EXPECT_EQ(reused.mode(), TraceMode::kStats);
-  EXPECT_TRUE(reused.nodes(0).empty());
+  EXPECT_TRUE(reused.darts(0).empty());
 
   network.restore_link(2);
   const auto third_proto = suite.pr().make(network);

@@ -19,8 +19,10 @@
 #include "analysis/checkpoint.hpp"
 #include "analysis/protocols.hpp"
 #include "analysis/storm.hpp"
+#include "analysis/traffic.hpp"
 #include "graph/graph.hpp"
 #include "graph/rng.hpp"
+#include "net/network.hpp"
 #include "net/storm_model.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/parallel_sweep.hpp"
@@ -266,6 +268,71 @@ TEST(StormResume, MalformedScenarioIsContainedAndResumable) {
             std::string::npos);
   ASSERT_FALSE(partial.checkpoint.empty());
   resume_and_verify(f, partial.checkpoint, want);
+}
+
+TEST(StormResume, AFailedCellLeavesLaterScenariosUntouched) {
+  // A cell that throws must not leave its scenario's links failed: under
+  // kContinue the worker goes on claiming units, which would then be priced
+  // under a superset of their own failures.  Here a protocol refuses
+  // networks with >= 6 links down.  Exactly those scenarios fail, and spf's
+  // volume sums equal the full re-route oracle folded over the others, at
+  // every thread count.
+  ResumeFixture f;
+  const SrlgCatalog catalog = net::geographic_srlgs(f.g, 1);
+  const IndependentOutages model = IndependentOutages::uniform(catalog, 0.15);
+  StormSweepConfig config;
+  config.scenarios = 300;
+  config.seed = 0x5EED;
+  constexpr std::size_t kRefusedFrom = 6;
+  const std::vector<analysis::NamedFactory> protocols = {
+      f.suite.spf(),
+      {"refuses-storms", [&f](const net::Network& network) {
+         if (network.failure_count() >= kRefusedFrom) {
+           throw std::runtime_error("refuses-storms: too many links down");
+         }
+         return f.suite.spf().make(network);
+       }}};
+
+  std::vector<graph::EdgeSet> kept;
+  std::size_t refused = 0;
+  net::StormSample sample;
+  for (std::size_t i = 0; i < config.scenarios; ++i) {
+    graph::Rng rng(sim::split_seed(config.seed, i));
+    model.sample(rng, sample);
+    if (sample.failures.size() >= kRefusedFrom) {
+      ++refused;
+    } else {
+      kept.push_back(sample.failures);
+    }
+  }
+  ASSERT_GT(refused, 0u);
+  const auto oracle =
+      analysis::run_traffic_experiment(f.g, f.demand, f.plan, kept, {f.suite.spf()},
+                                       analysis::TrafficSweepMode::kFullReroute);
+  double delivered = 0.0;
+  double lost = 0.0;
+  double stranded = 0.0;
+  for (const auto& row : oracle.protocols[0].per_scenario) {
+    delivered += row.delivered_pps;
+    lost += row.lost_pps;
+    stranded += row.stranded_pps;
+  }
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SweepExecutor executor(threads);
+    RunControl control;
+    control.set_error_policy(sim::UnitErrorPolicy::kContinue);
+    StormRunOptions options;
+    options.control = &control;
+    const StormRunResult run = analysis::run_storm_experiment_resilient(
+        f.g, f.demand, f.plan, model, protocols, config, executor, options);
+    EXPECT_EQ(run.completed_scenarios, config.scenarios) << threads << " threads";
+    EXPECT_EQ(run.outcome.error_count, refused) << threads << " threads";
+    const auto& spf = run.result.protocols[0];
+    EXPECT_EQ(spf.delivered_pps, delivered) << threads << " threads";
+    EXPECT_EQ(spf.lost_pps, lost) << threads << " threads";
+    EXPECT_EQ(spf.stranded_pps, stranded) << threads << " threads";
+  }
 }
 
 TEST(StormResume, DeadlineInterruptThenResume) {

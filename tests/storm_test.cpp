@@ -5,6 +5,7 @@
 // thread counts and convergence to the exhaustive weighted oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -21,6 +22,7 @@
 #include "net/failure_model.hpp"
 #include "net/network.hpp"
 #include "net/storm_model.hpp"
+#include "sim/forwarding_engine.hpp"
 #include "sim/parallel_sweep.hpp"
 #include "topo/topologies.hpp"
 #include "traffic/capacity.hpp"
@@ -432,8 +434,10 @@ TEST(StormSweep, MatchesTheFullRerouteOracleOnTheSampledFailureSets) {
   // An independent oracle for the storm cell: draw the sweep's own failure
   // sets (scenario i from stream split_seed(seed, i)), price them through
   // the traffic driver's full re-route mode, and fold its rows in scenario
-  // order.  The storm's volume sums, utilization summary and overload/loss
-  // counts must equal those folds bit for bit at every thread count.
+  // order.  The stretch stream comes from plain route_batch calls on the
+  // failed and the pristine network.  The storm's volume sums, utilization
+  // and stretch summaries and overload/loss counts must equal those folds
+  // bit for bit at every thread count.
   StormFixture f;
   // Tighter than the fixture's plan, so re-routed demand overloads links.
   f.plan = traffic::CapacityPlan::uniform(f.g, 2e4);
@@ -461,6 +465,7 @@ TEST(StormSweep, MatchesTheFullRerouteOracleOnTheSampledFailureSets) {
     double lost = 0.0;
     double stranded = 0.0;
     analysis::RunningSummary utilization;
+    analysis::RunningSummary stretch;
     std::size_t overloaded_links = 0;
     std::size_t overloaded_scenarios = 0;
     std::size_t lossy_scenarios = 0;
@@ -484,6 +489,33 @@ TEST(StormSweep, MatchesTheFullRerouteOracleOnTheSampledFailureSets) {
   EXPECT_GT(want[0].stranded, 0.0);
   EXPECT_GT(want[2].overloaded_scenarios, 0u);
 
+  // A scenario's stretch: the worst cost / pristine cost over the flows
+  // delivered under it, and at least 1.
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  (void)analysis::collect_demand_flows(f.demand, flows, demands);
+  const net::Network pristine(f.g);
+  std::size_t stretched = 0;  // (scenario, protocol) cells above 1
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    const auto pristine_proto = protocols[i].make(pristine);
+    const sim::BatchResult base = sim::route_batch(pristine, *pristine_proto, flows);
+    for (const EdgeSet& failures : failure_sets) {
+      net::Network network(f.g);
+      for (const graph::EdgeId e : failures.elements()) network.fail_link(e);
+      const auto proto = protocols[i].make(network);
+      const sim::BatchResult batch = sim::route_batch(network, *proto, flows);
+      double worst = 1.0;
+      for (std::size_t k = 0; k < flows.size(); ++k) {
+        if (batch[k].delivered() && base[k].cost > 0.0) {
+          worst = std::max(worst, batch[k].cost / base[k].cost);
+        }
+      }
+      want[i].stretch.add(worst);
+      if (worst > 1.0) ++stretched;
+    }
+  }
+  EXPECT_GT(stretched, 0u);
+
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
     const StormExperimentResult storm = analysis::run_storm_experiment(
@@ -496,6 +528,7 @@ TEST(StormSweep, MatchesTheFullRerouteOracleOnTheSampledFailureSets) {
       EXPECT_EQ(got.lost_pps, want[i].lost) << got.name << " @ " << threads;
       EXPECT_EQ(got.stranded_pps, want[i].stranded) << got.name << " @ " << threads;
       EXPECT_TRUE(got.utilization == want[i].utilization) << got.name << " @ " << threads;
+      EXPECT_TRUE(got.stretch == want[i].stretch) << got.name << " @ " << threads;
       EXPECT_EQ(got.overloaded_links, want[i].overloaded_links) << got.name;
       EXPECT_EQ(got.overloaded_scenarios, want[i].overloaded_scenarios) << got.name;
       EXPECT_EQ(got.lossy_scenarios, want[i].lossy_scenarios) << got.name;
