@@ -11,10 +11,10 @@
 #include <iomanip>
 #include <iostream>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
+#include "analysis/stretch.hpp"
 #include "graph/connectivity.hpp"
 #include "net/failure_model.hpp"
 #include "sim/parallel_sweep.hpp"
@@ -34,17 +34,14 @@ int main(int argc, char** argv) {
         {"geant", topo::geant()}}) {
     const analysis::ProtocolSuite suite(g);
     const auto scenarios = net::all_node_failures(g);
-    const auto coverage = analysis::run_coverage_experiment(
+    const auto result = analysis::run_stretch_experiment(
         g, scenarios,
         {suite.pr(), suite.lfa(), suite.lfa_node_protecting(), suite.spf()},
         executor);
     std::cout << "== " << name << " (" << scenarios.size() << " node outages) ==\n"
-              << analysis::format_coverage_report(coverage);
-
-    const auto stretch =
-        analysis::run_stretch_experiment(g, scenarios, {suite.pr()}, executor);
-    std::cout << "PR stretch over saved packets: "
-              << analysis::to_string(analysis::summarize(stretch.protocols[0].stretches))
+              << analysis::format_coverage_report(result)
+              << "PR stretch over saved packets: "
+              << analysis::to_string(analysis::summarize(result.protocols[0].stretches))
               << "\n\n";
   }
 

@@ -54,7 +54,7 @@ int main() {
                 << std::setw(10) << max_dd << std::setw(12)
                 << 1 + net::bits_for_value(max_dd) << std::setw(14) << std::fixed
                 << std::setprecision(3) << p.mean_finite_stretch() << std::setw(13)
-                << p.max_finite_stretch() << p.dropped << "\n";
+                << p.max_finite_stretch() << p.dropped() << "\n";
     }
 
     // Multi-failure delivery check: both discriminators must stay loop-free.
@@ -76,7 +76,7 @@ int main() {
       std::cout << "  multi-failure (k=" << k << ", "
                 << (kind == route::DiscriminatorKind::kHops ? "hops" : "weighted")
                 << "): delivered " << result.protocols[0].delivered << ", dropped "
-                << result.protocols[0].dropped << "\n";
+                << result.protocols[0].dropped() << "\n";
     }
     std::cout << "\n";
   }

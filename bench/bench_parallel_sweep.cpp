@@ -73,7 +73,10 @@ void require_identical(const analysis::StretchExperimentResult& serial,
   for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
     const auto& s = serial.protocols[i];
     const auto& p = parallel.protocols[i];
-    if (p.delivered != s.delivered || p.dropped != s.dropped) fail("delivery counts");
+    if (p.delivered != s.delivered || p.dropped_reachable != s.dropped_reachable ||
+        p.dropped_partitioned != s.dropped_partitioned) {
+      fail("delivery counts");
+    }
     if (p.stretches != s.stretches) fail("stretch samples");  // bit-exact doubles
   }
 }

@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
               << std::setw(34) << stretch_cell.str() << std::setprecision(2)
               << result.protocols[0].mean_finite_stretch() << "\n";
 
-    if (pr_res.dropped != 0) {
-      std::cout << "  WARNING: " << pr_res.dropped
+    if (pr_res.dropped() != 0) {
+      std::cout << "  WARNING: " << pr_res.dropped()
                 << " drops on a planar topology -- investigate!\n";
     }
   }

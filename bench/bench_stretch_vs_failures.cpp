@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
              << p99 << ")";
         std::cout << std::setw(26) << cell.str();
       }
-      std::cout << result.protocols.back().dropped << "\n";
+      std::cout << result.protocols.back().dropped() << "\n";
     }
     std::cout << "\n";
   }

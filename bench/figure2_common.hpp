@@ -84,16 +84,17 @@ inline int run_figure2_panel(const graph::Graph& g, const PanelConfig& cfg) {
   std::cout << analysis::format_stretch_report(result, analysis::paper_stretch_axis());
 
   for (const auto& p : result.protocols) {
-    if (p.name == "Packet Re-cycling" && p.dropped > 0) {
-      std::cout << "\nnote: " << p.dropped << " PR packets livelocked although their"
+    if (p.name == "Packet Re-cycling" && p.dropped_reachable > 0) {
+      std::cout << "\nnote: " << p.dropped_reachable
+                << " PR packets livelocked although their"
                 << " destinations stayed reachable.\n"
                 << "      " << cfg.topology << " is non-planar (genus "
                 << suite.embedding().genus << " embedding); on a handle a"
                 << " joined-region boundary\n"
                 << "      need not separate the surface, so the decreasing-distance"
                 << " exit can be\n"
-                << "      unreachable (reproduction finding F2, DESIGN.md section 7)."
-                << "  The CCDF\n"
+                << "      unreachable (reproduction finding F2, pr_property_test's"
+                << " NonPlanarLivelock).  The CCDF\n"
                 << "      counts these as infinite stretch; FCP delivers them.\n";
     }
   }

@@ -109,9 +109,7 @@ class P2QuantileSet {
 /// only when its key is STRICTLY larger, or its key ties and its id is
 /// strictly smaller -- so for any insertion sequence the surviving set (and
 /// therefore sorted()) is a pure function of the multiset plus feed order,
-/// and canonical-order feeding makes it thread-count independent.  merge()
-/// folds another heap in by replaying its sorted entries, for callers that
-/// reduce per-shard heaps in canonical shard order instead of streaming.
+/// and canonical-order feeding makes it thread-count independent.
 template <typename Payload>
 class TopK {
  public:
@@ -139,10 +137,6 @@ class TopK {
       heap_.back() = Entry{key, id, value};
       std::push_heap(heap_.begin(), heap_.end(), HeapOrder{});
     }
-  }
-
-  void merge(const TopK& other) {
-    for (const Entry& e : other.sorted()) add(e.key, e.id, e.value);
   }
 
   /// Entries by key descending, ties by id ascending (worst first).

@@ -45,14 +45,14 @@ std::string format_stretch_report(const StretchExperimentResult& result,
   out << format_ccdf_table(xs, series);
   for (const auto& p : result.protocols) {
     out << std::left << std::setw(28) << p.name << " delivered=" << p.delivered
-        << " dropped=" << p.dropped << std::fixed << std::setprecision(3)
+        << " dropped=" << p.dropped() << std::fixed << std::setprecision(3)
         << " mean-stretch=" << p.mean_finite_stretch()
         << " max-stretch=" << p.max_finite_stretch() << "\n";
   }
   return out.str();
 }
 
-std::string format_coverage_report(const CoverageResult& result) {
+std::string format_coverage_report(const StretchExperimentResult& result) {
   std::ostringstream out;
   out << std::left << std::setw(28) << "protocol" << std::setw(12) << "delivered"
       << std::setw(20) << "dropped-reachable" << std::setw(20) << "dropped-partition"

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/coverage.hpp"
 #include "analysis/stretch.hpp"
 
 namespace pr::analysis {
@@ -25,6 +24,6 @@ namespace pr::analysis {
                                                 std::span<const double> xs);
 
 /// Renders the coverage table of ablation A2.
-[[nodiscard]] std::string format_coverage_report(const CoverageResult& result);
+[[nodiscard]] std::string format_coverage_report(const StretchExperimentResult& result);
 
 }  // namespace pr::analysis

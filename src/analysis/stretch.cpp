@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "graph/connectivity.hpp"
 #include "sim/forwarding_engine.hpp"
 #include "sim/parallel_sweep.hpp"
 
@@ -63,23 +64,6 @@ double ProtocolStretch::mean_finite_stretch() const {
 
 namespace {
 
-/// Flow list of one scenario in the canonical (s, t) order every sweep uses:
-/// all ordered pairs whose pristine path crosses a failed edge.
-void collect_affected_flows(const graph::Graph& g, const route::RoutingDb& pristine,
-                            const graph::EdgeSet& failures,
-                            std::vector<sim::FlowSpec>& flows,
-                            std::vector<double>& base_costs) {
-  flows.clear();
-  base_costs.clear();
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    for (NodeId t = 0; t < g.node_count(); ++t) {
-      if (s == t || !path_affected(pristine, s, t, failures)) continue;
-      flows.push_back(sim::FlowSpec{s, t});
-      base_costs.push_back(pristine.cost(s, t));
-    }
-  }
-}
-
 /// The empty result both drivers fill, after rejecting an empty protocol list.
 StretchExperimentResult make_result(std::size_t scenarios,
                                     const std::vector<NamedFactory>& protocols) {
@@ -89,8 +73,60 @@ StretchExperimentResult make_result(std::size_t scenarios,
   StretchExperimentResult result;
   result.scenarios = scenarios;
   result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
+  for (const auto& p : protocols) {
+    result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0, 0});
+  }
   return result;
+}
+
+/// Prices one scenario into `into`, both drivers' only per-scenario code.  It
+/// fails the scenario's links on a network of its own, collects the affected
+/// pairs -- every ordered pair whose pristine path crosses a failed link, in
+/// the canonical (s, t) order every sweep uses -- routes them under each
+/// protocol, and appends each packet's sample and outcome class to that
+/// protocol's entry of `into`.  `ctx` lends the reusable flow, cost, flag and
+/// batch buffers and the routing cache that reconverging protocols borrow
+/// delta-repaired tables from.
+void price_scenario(const graph::Graph& g, const route::RoutingDb& pristine,
+                    const graph::EdgeSet& failures,
+                    const std::vector<NamedFactory>& protocols, sim::WorkerContext& ctx,
+                    StretchExperimentResult& into) {
+  net::Network network(g);
+  for (graph::EdgeId e : failures.elements()) network.fail_link(e);
+
+  // A dropped packet whose endpoints share a residual component was
+  // recoverable; ctx.flags holds that fact per flow.
+  const auto components = graph::connected_components(g, &failures);
+  ctx.flows.clear();
+  ctx.base_costs.clear();
+  ctx.flags.clear();
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    for (NodeId t = 0; t < g.node_count(); ++t) {
+      if (s == t || !path_affected(pristine, s, t, failures)) continue;
+      ctx.flows.push_back(sim::FlowSpec{s, t});
+      ctx.base_costs.push_back(pristine.cost(s, t));
+      ctx.flags.push_back(components[s] == components[t] ? 1 : 0);
+    }
+  }
+  into.affected_pairs += ctx.flows.size();
+  if (ctx.flows.empty()) return;
+
+  // Fresh protocol instances see this scenario's link state at build time
+  // (ReconvergedRouting borrows its post-convergence tables here).
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    const auto instance = make_protocol(protocols[i], network, ctx.routes);
+    sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats, ctx.batch);
+    ProtocolStretch& agg = into.protocols[i];
+    for (std::size_t f = 0; f < ctx.batch.size(); ++f) {
+      if (ctx.batch[f].delivered()) {
+        ++agg.delivered;
+        agg.stretches.push_back(ctx.batch[f].cost / ctx.base_costs[f]);
+      } else {
+        ++(ctx.flags[f] != 0 ? agg.dropped_reachable : agg.dropped_partitioned);
+        agg.stretches.push_back(std::numeric_limits<double>::infinity());
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -100,40 +136,11 @@ StretchExperimentResult run_stretch_experiment(
     const std::vector<NamedFactory>& protocols) {
   StretchExperimentResult result = make_result(scenarios.size(), protocols);
   const route::RoutingDb pristine(g);
-
-  // Reused across scenarios and protocols: once warm, a sweep allocates
-  // nothing per trial (the point of the stats-only batched engine), and
-  // reconverging protocols borrow delta-repaired tables from the cache
-  // instead of rebuilding n Dijkstras per scenario.
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> base_costs;
-  sim::BatchResult batch;
-  route::ScenarioRoutingCache routing_cache;
-
+  // The executor's per-worker buffers, reused across scenarios and protocols:
+  // once warm, the sweep allocates nothing per routed packet.
+  sim::WorkerContext ctx;
   for (const auto& failures : scenarios) {
-    net::Network network(g);
-    for (graph::EdgeId e : failures.elements()) network.fail_link(e);
-
-    collect_affected_flows(g, pristine, failures, flows, base_costs);
-    result.affected_pairs += flows.size();
-    if (flows.empty()) continue;
-
-    // Fresh protocol instances see this scenario's link state at build time
-    // (ReconvergedRouting borrows its post-convergence tables here).
-    for (std::size_t i = 0; i < protocols.size(); ++i) {
-      const auto instance = make_protocol(protocols[i], network, routing_cache);
-      sim::route_batch(network, *instance, flows, sim::TraceMode::kStats, batch);
-      auto& agg = result.protocols[i];
-      for (std::size_t f = 0; f < batch.size(); ++f) {
-        if (batch[f].delivered()) {
-          ++agg.delivered;
-          agg.stretches.push_back(batch[f].cost / base_costs[f]);
-        } else {
-          ++agg.dropped;
-          agg.stretches.push_back(std::numeric_limits<double>::infinity());
-        }
-      }
-    }
+    price_scenario(g, pristine, failures, protocols, ctx, result);
   }
   return result;
 }
@@ -144,53 +151,32 @@ StretchExperimentResult run_stretch_experiment(
   StretchExperimentResult result = make_result(scenarios.size(), protocols);
   const route::RoutingDb pristine(g);
 
-  // A slot ring of the executor's reorder window: one scenario's affected
-  // count and per-protocol samples, held from its unit function until its
-  // reduce appends them in canonical scenario order -- the serial sweep's
-  // sample sequence exactly.
-  struct Slot {
-    std::size_t affected = 0;
-    std::vector<std::size_t> delivered;          // per protocol
-    std::vector<std::vector<double>> stretches;  // per protocol, in flow order
-  };
+  // A slot ring of the executor's reorder window: one scenario's priced
+  // pairs, held from its unit function until its reduce appends them in
+  // canonical scenario order -- the serial sweep's sample sequence exactly.
   const std::size_t window = executor.default_ordered_window();
-  std::vector<Slot> slots(window);
+  std::vector<StretchExperimentResult> slots(window);
   const auto unit_fn = [&](std::size_t unit, sim::WorkerContext& ctx) {
-    const graph::EdgeSet& failures = scenarios[unit];
-    net::Network network(g);
-    for (graph::EdgeId e : failures.elements()) network.fail_link(e);
-
-    collect_affected_flows(g, pristine, failures, ctx.flows, ctx.base_costs);
-    Slot& slot = slots[unit % window];
-    slot.affected = ctx.flows.size();
-    slot.delivered.assign(protocols.size(), 0);
-    slot.stretches.resize(protocols.size());
-    for (std::size_t i = 0; i < protocols.size(); ++i) {
-      auto& samples = slot.stretches[i];
-      samples.clear();
-      if (ctx.flows.empty()) continue;
-      const auto instance = make_protocol(protocols[i], network, ctx.routes);
-      sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats,
-                       ctx.batch);
-      for (std::size_t f = 0; f < ctx.batch.size(); ++f) {
-        if (ctx.batch[f].delivered()) {
-          ++slot.delivered[i];
-          samples.push_back(ctx.batch[f].cost / ctx.base_costs[f]);
-        } else {
-          samples.push_back(std::numeric_limits<double>::infinity());
-        }
-      }
+    StretchExperimentResult& slot = slots[unit % window];
+    slot.affected_pairs = 0;
+    slot.protocols.resize(protocols.size());
+    for (ProtocolStretch& p : slot.protocols) {
+      p.stretches.clear();  // keeps the capacity for the slot's next scenario
+      p.delivered = p.dropped_reachable = p.dropped_partitioned = 0;
     }
+    price_scenario(g, pristine, scenarios[unit], protocols, ctx, slot);
   };
   const auto reduce_fn = [&](std::size_t unit) {
-    const Slot& slot = slots[unit % window];
-    result.affected_pairs += slot.affected;
+    const StretchExperimentResult& slot = slots[unit % window];
+    result.affected_pairs += slot.affected_pairs;
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      auto& agg = result.protocols[i];
-      agg.delivered += slot.delivered[i];
-      agg.dropped += slot.stretches[i].size() - slot.delivered[i];
-      agg.stretches.insert(agg.stretches.end(), slot.stretches[i].begin(),
-                           slot.stretches[i].end());
+      ProtocolStretch& agg = result.protocols[i];
+      const ProtocolStretch& part = slot.protocols[i];
+      agg.stretches.insert(agg.stretches.end(), part.stretches.begin(),
+                           part.stretches.end());
+      agg.delivered += part.delivered;
+      agg.dropped_reachable += part.dropped_reachable;
+      agg.dropped_partitioned += part.dropped_partitioned;
     }
   };
   executor.run_ordered(scenarios.size(), unit_fn, reduce_fn);

@@ -1,8 +1,8 @@
 // Congestion-under-failure sweeps: the traffic-engineering view of the
 // paper's comparison.
 //
-// The stretch and coverage experiments treat every flow as one unweighted
-// probe.  This driver routes a full demand matrix (every ordered pair with
+// The stretch experiment treats every flow as one unweighted probe.
+// This driver routes a full demand matrix (every ordered pair with
 // non-zero demand) through every failure scenario under every protocol,
 // accumulates demand-weighted per-interface load, and prices each scenario
 // against a capacity plan: max link utilization, overloaded links, and

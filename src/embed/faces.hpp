@@ -56,10 +56,11 @@ void check_face_set(const RotationSystem& rot, const FaceSet& faces);
 
 /// Edges whose two darts lie on the SAME face -- the paper's "curved cell
 /// that meets itself along l" case, where the main and complementary cycles
-/// coincide.  Reproduction finding (see DESIGN.md section 8): when such a
-/// link fails, the joined boundary splits into two components and cycle
-/// following can strand the packet on the one without the exit point, so
-/// PR's delivery guarantee requires an embedding with NO self-paired edges.
+/// coincide.  Reproduction finding (pr_property_test's EmbeddingQuality
+/// tests): when such a link fails, the joined boundary splits into two
+/// components and cycle following can strand the packet on the one without
+/// the exit point, so PR's delivery guarantee requires an embedding with NO
+/// self-paired edges.
 /// Planar embeddings of 2-edge-connected graphs never have any (their faces
 /// are edge-simple); random rotation systems frequently do.
 [[nodiscard]] std::vector<EdgeId> self_paired_edges(const Graph& g, const FaceSet& faces);

@@ -24,7 +24,7 @@ namespace pr::net {
 /// All single-node failure scenarios: for each non-isolated node, the edge
 /// set of its incident links (the paper's node-failure model, Section 4).
 /// The failed node itself becomes unreachable; pairs involving it classify
-/// as partitioned in the coverage experiment.
+/// as dropped_partitioned in the stretch experiment.
 [[nodiscard]] std::vector<graph::EdgeSet> all_node_failures(const Graph& g);
 
 /// Uniformly samples up to `scenarios` distinct k-subsets of edges whose

@@ -9,8 +9,8 @@
 //                               now a thin shim (net/forwarding.cpp);
 //   * sim::route_batch       -- routes many flows with preallocated, reusable
 //                               buffers; its stats-only mode never touches the
-//                               heap per flow, which is what the coverage and
-//                               stretch sweeps (millions of trials) need;
+//                               heap per flow, which is what the affected-pair
+//                               stretch sweep (millions of trials) needs;
 //   * net::launch_packet     -- the discrete-event simulator, which interleaves
 //                               the same decide/commit steps with timing and
 //                               queueing (net/event_sim.cpp).

@@ -307,29 +307,4 @@ class SweepExecutor {
 [[nodiscard]] bool parse_count_arg(const char* raw, std::size_t max_value,
                                    std::size_t& out);
 
-/// Mergeable reduction of FlowStats over a shard: delivery counts plus hop
-/// and cost totals.  add() in flow order within a shard, merge() in canonical
-/// shard order across shards -- that exact order makes the floating-point
-/// cost total bit-identical to a serial sweep accumulating per shard.
-struct FlowStatsReduction {
-  std::size_t flows = 0;
-  std::size_t delivered = 0;
-  std::uint64_t hops = 0;
-  double cost = 0.0;
-
-  void add(const FlowStats& s) noexcept {
-    ++flows;
-    delivered += s.delivered() ? 1 : 0;
-    hops += s.hops;
-    cost += s.cost;
-  }
-
-  void merge(const FlowStatsReduction& other) noexcept {
-    flows += other.flows;
-    delivered += other.delivered;
-    hops += other.hops;
-    cost += other.cost;
-  }
-};
-
 }  // namespace pr::sim

@@ -1,7 +1,7 @@
 // Bundled topologies: the paper's worked example (Figure 1) and the three ISP
 // networks of its evaluation (Section 6).
 //
-// Provenance / substitutions (see DESIGN.md section 3):
+// Provenance / substitutions:
 //  * figure1       -- reconstructed exactly from the paper's narrative,
 //                     including the embedding and the (unprinted) link
 //                     weights pinned down by the worked scenarios.

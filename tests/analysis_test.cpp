@@ -2,7 +2,6 @@
 // runner, coverage classification, and the Figure-2 shape on Abilene.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
 #include "analysis/report.hpp"
 #include "analysis/stretch.hpp"
@@ -97,9 +96,9 @@ TEST(StretchExperiment, AbileneSingleFailuresFigure2aShape) {
   const auto& pr = result.protocols[2];
 
   EXPECT_GT(result.affected_pairs, 0U);
-  EXPECT_EQ(reconv.dropped, 0U);
-  EXPECT_EQ(fcp.dropped, 0U);
-  EXPECT_EQ(pr.dropped, 0U);
+  EXPECT_EQ(reconv.dropped(), 0U);
+  EXPECT_EQ(fcp.dropped(), 0U);
+  EXPECT_EQ(pr.dropped(), 0U);
 
   EXPECT_LE(reconv.mean_finite_stretch(), fcp.mean_finite_stretch() + 1e-12);
   EXPECT_LE(fcp.mean_finite_stretch(), pr.mean_finite_stretch() + 1e-12);
@@ -150,7 +149,7 @@ TEST(Coverage, ClassifiesPartitionsCorrectly) {
     scenarios.push_back(std::move(cut));
   }
 
-  const auto result = run_coverage_experiment(g, scenarios, {suite.pr(), suite.spf()});
+  const auto result = run_stretch_experiment(g, scenarios, {suite.pr(), suite.spf()});
   const auto& pr = result.protocols[0];
   const auto& spf = result.protocols[1];
   EXPECT_EQ(pr.dropped_reachable, 0U);
@@ -165,7 +164,7 @@ TEST(Coverage, PrDdHasFullCoverageOnAbileneDoubleFailures) {
   const ProtocolSuite suite(g);
   graph::Rng rng(5);
   const auto scenarios = net::sample_any_failures(g, 2, 40, rng);
-  const auto result = run_coverage_experiment(
+  const auto result = run_stretch_experiment(
       g, scenarios, {suite.pr(), suite.pr_single_bit(), suite.lfa()});
   EXPECT_EQ(result.protocols[0].dropped_reachable, 0U);  // the paper's claim
   EXPECT_DOUBLE_EQ(result.protocols[0].coverage(), 1.0);
@@ -188,13 +187,12 @@ TEST(Report, StretchAndCoverageRendering) {
   const auto g = graph::ring(4);
   const ProtocolSuite suite(g);
   const auto scenarios = net::all_single_failures(g);
-  const auto stretch = run_stretch_experiment(g, scenarios, {suite.pr()});
-  const auto text = format_stretch_report(stretch, paper_stretch_axis());
+  const auto result = run_stretch_experiment(g, scenarios, {suite.pr()});
+  const auto text = format_stretch_report(result, paper_stretch_axis());
   EXPECT_NE(text.find("Packet Re-cycling"), std::string::npos);
   EXPECT_NE(text.find("delivered="), std::string::npos);
 
-  const auto coverage = run_coverage_experiment(g, scenarios, {suite.pr()});
-  const auto cov_text = format_coverage_report(coverage);
+  const auto cov_text = format_coverage_report(result);
   EXPECT_NE(cov_text.find("coverage"), std::string::npos);
 }
 

@@ -333,7 +333,8 @@ TEST(LfaIncremental, PostConvergenceFactoryPathsAgree) {
   const auto& f = fresh_result.protocols[0];
   const auto& c = cached_result.protocols[0];
   EXPECT_EQ(f.delivered, c.delivered);
-  EXPECT_EQ(f.dropped, c.dropped);
+  EXPECT_EQ(f.dropped_reachable, c.dropped_reachable);
+  EXPECT_EQ(f.dropped_partitioned, c.dropped_partitioned);
   EXPECT_EQ(f.stretches, c.stretches);  // bit-exact doubles
 
   // Post-convergence alternates come from converged tables, so delivery must

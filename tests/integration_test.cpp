@@ -2,12 +2,17 @@
 // topology, asserting the cross-module invariants the benches rely on.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.hpp"
+#include <limits>
+#include <memory>
+#include <vector>
+
 #include "analysis/protocols.hpp"
 #include "analysis/report.hpp"
+#include "analysis/stretch.hpp"
 #include "graph/connectivity.hpp"
 #include "net/failure_model.hpp"
 #include "net/header_codec.hpp"
+#include "sim/parallel_sweep.hpp"
 #include "topo/topologies.hpp"
 
 namespace pr {
@@ -63,7 +68,7 @@ TEST_P(TopologyPipeline, SingleFailureFigureShape) {
 
   ASSERT_EQ(result.protocols.size(), 3U);
   for (const auto& p : result.protocols) {
-    EXPECT_EQ(p.dropped, 0U) << p.name;
+    EXPECT_EQ(p.dropped(), 0U) << p.name;
     for (double s : p.stretches) EXPECT_GE(s, 1.0 - 1e-12);
   }
   // Protocol ordering, mean and pointwise CCDF.
@@ -101,7 +106,7 @@ TEST_P(TopologyPipeline, CoverageClassificationConsistent) {
   const ProtocolSuite suite(g);
   graph::Rng rng(123);
   const auto scenarios = net::sample_any_failures(g, 3, 25, rng);
-  const auto result = analysis::run_coverage_experiment(
+  const auto result = analysis::run_stretch_experiment(
       g, scenarios, {suite.pr(), suite.fcp(), suite.spf()});
 
   const auto& pr_cov = result.protocols[0];
@@ -133,33 +138,74 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Integration, StretchExperimentMatchesManualComputation) {
-  // Cross-check the harness against a hand-rolled loop on one scenario.
-  const Graph g = topo::abilene();
+  // Cross-check the sweep pair by pair against hand-rolled route_packet
+  // walks: every dual and every node failure of Teleglobe (1,015 scenarios,
+  // partitions included) under six protocols.  Each affected pair's sample
+  // (cost over pristine cost, or +inf) and outcome class (from the residual
+  // components) must match bit for bit, in canonical order.
+  const Graph g = topo::teleglobe();
   const ProtocolSuite suite(g);
-  std::vector<graph::EdgeSet> scenarios;
-  scenarios.emplace_back(g.edge_count());
-  scenarios.back().insert(3);
-  const auto result = analysis::run_stretch_experiment(g, scenarios, {suite.pr()});
+  auto scenarios = net::enumerate_failures(g, 2);
+  for (auto& s : net::all_node_failures(g)) scenarios.push_back(std::move(s));
+  const std::vector<analysis::NamedFactory> protocols = {
+      suite.pr(),  suite.pr_single_bit(), suite.lfa(),
+      suite.fcp(), suite.spf(),           suite.reconvergence()};
 
-  net::Network network(g);
-  network.fail_link(3);
-  std::size_t manual_pairs = 0;
-  double manual_sum = 0;
-  for (graph::NodeId s = 0; s < g.node_count(); ++s) {
-    for (graph::NodeId t = 0; t < g.node_count(); ++t) {
-      if (s == t ||
-          !analysis::path_affected(suite.routes(), s, t, network.failed_links())) {
-        continue;
+  std::vector<analysis::ProtocolStretch> want(protocols.size());
+  std::size_t affected_pairs = 0;
+  for (const auto& failures : scenarios) {
+    net::Network network(g);
+    for (graph::EdgeId e : failures.elements()) network.fail_link(e);
+    const auto components = graph::connected_components(g, &failures);
+    std::vector<std::unique_ptr<net::ForwardingProtocol>> instances;
+    for (const auto& factory : protocols) instances.push_back(factory.make(network));
+
+    for (graph::NodeId s = 0; s < g.node_count(); ++s) {
+      for (graph::NodeId t = 0; t < g.node_count(); ++t) {
+        if (s == t || !analysis::path_affected(suite.routes(), s, t, failures)) {
+          continue;
+        }
+        ++affected_pairs;
+        for (std::size_t i = 0; i < protocols.size(); ++i) {
+          const auto trace = net::route_packet(network, *instances[i], s, t);
+          auto& w = want[i];
+          if (trace.delivered()) {
+            ++w.delivered;
+            w.stretches.push_back(trace.cost / suite.routes().cost(s, t));
+          } else {
+            ++(components[s] == components[t] ? w.dropped_reachable
+                                              : w.dropped_partitioned);
+            w.stretches.push_back(std::numeric_limits<double>::infinity());
+          }
+        }
       }
-      ++manual_pairs;
-      auto proto = suite.pr().make(network);
-      const auto trace = net::route_packet(network, *proto, s, t);
-      manual_sum += trace.cost / suite.routes().cost(s, t);
     }
   }
-  EXPECT_EQ(result.affected_pairs, manual_pairs);
-  EXPECT_NEAR(result.protocols[0].mean_finite_stretch(),
-              manual_sum / static_cast<double>(manual_pairs), 1e-12);
+  // Both drop classes are exercised: Teleglobe's genus-1 embedding loses
+  // reachable pairs under some dual failures, and node failures cut pairs off.
+  EXPECT_GT(want[0].dropped_reachable, 0U);
+  EXPECT_GT(want[0].dropped_partitioned, 0U);
+
+  const auto expect_matches = [&](const analysis::StretchExperimentResult& got,
+                                  const char* driver) {
+    EXPECT_EQ(got.scenarios, scenarios.size()) << driver;
+    EXPECT_EQ(got.affected_pairs, affected_pairs) << driver;
+    ASSERT_EQ(got.protocols.size(), protocols.size()) << driver;
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      const auto& p = got.protocols[i];
+      EXPECT_EQ(p.name, protocols[i].name);
+      EXPECT_EQ(p.delivered, want[i].delivered) << p.name << ", " << driver;
+      EXPECT_EQ(p.dropped_reachable, want[i].dropped_reachable)
+          << p.name << ", " << driver;
+      EXPECT_EQ(p.dropped_partitioned, want[i].dropped_partitioned)
+          << p.name << ", " << driver;
+      EXPECT_EQ(p.stretches, want[i].stretches) << p.name << ", " << driver;
+    }
+  };
+  expect_matches(analysis::run_stretch_experiment(g, scenarios, protocols), "serial");
+  sim::SweepExecutor executor(2);
+  expect_matches(analysis::run_stretch_experiment(g, scenarios, protocols, executor),
+                 "2 threads");
 }
 
 TEST(Integration, AllSuiteProtocolsAgreeOnHealthyNetwork) {

@@ -2,10 +2,10 @@
 // (sim/parallel_sweep.hpp).
 //
 // The executor is only allowed to be fast, not different: for every thread
-// count the coverage counts, stretch sample sequences and floating-point
-// aggregates must be bit-identical to the serial route_batch sweeps, and the
-// per-unit RNG streams must depend on the unit index alone.  The suite also
-// pins the ProtocolCoverage::coverage() corner semantics.
+// count the outcome counts and stretch sample sequences must be bit-identical
+// to the serial route_batch sweeps, and the per-unit RNG streams must depend
+// on the unit index alone.  The suite also pins the
+// ProtocolStretch::coverage() corner semantics.
 #include "sim/parallel_sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
+#include "analysis/stretch.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
 #include "net/failure_model.hpp"
@@ -213,27 +213,13 @@ void expect_identical_stretch(const analysis::StretchExperimentResult& serial,
     const auto& p = parallel.protocols[i];
     EXPECT_EQ(p.name, s.name);
     EXPECT_EQ(p.delivered, s.delivered) << s.name << " @ " << threads << " threads";
-    EXPECT_EQ(p.dropped, s.dropped) << s.name << " @ " << threads << " threads";
-    // Bit-identical doubles in the serial sample order, not approximate
-    // equality: the canonical-order merge is exact by construction.
-    EXPECT_EQ(p.stretches, s.stretches) << s.name << " @ " << threads << " threads";
-  }
-}
-
-void expect_identical_coverage(const analysis::CoverageResult& serial,
-                               const analysis::CoverageResult& parallel,
-                               std::size_t threads) {
-  ASSERT_EQ(parallel.protocols.size(), serial.protocols.size());
-  EXPECT_EQ(parallel.scenarios, serial.scenarios);
-  for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
-    const auto& s = serial.protocols[i];
-    const auto& p = parallel.protocols[i];
-    EXPECT_EQ(p.name, s.name);
-    EXPECT_EQ(p.delivered, s.delivered) << s.name << " @ " << threads << " threads";
     EXPECT_EQ(p.dropped_reachable, s.dropped_reachable)
         << s.name << " @ " << threads << " threads";
     EXPECT_EQ(p.dropped_partitioned, s.dropped_partitioned)
         << s.name << " @ " << threads << " threads";
+    // Bit-identical doubles in the serial sample order, not approximate
+    // equality: the canonical-order merge is exact by construction.
+    EXPECT_EQ(p.stretches, s.stretches) << s.name << " @ " << threads << " threads";
   }
 }
 
@@ -249,20 +235,11 @@ TEST(ParallelSweepDeterminismTest, MatchesSerialOnRandomTopologies) {
     auto scenarios = net::sample_any_failures(g, 2, 10, rng);
     for (auto& s : net::all_single_failures(g)) scenarios.push_back(std::move(s));
 
-    const auto serial_stretch =
-        analysis::run_stretch_experiment(g, scenarios, protocols);
-    const auto serial_coverage =
-        analysis::run_coverage_experiment(g, scenarios, protocols);
-
+    const auto serial = analysis::run_stretch_experiment(g, scenarios, protocols);
     for (const std::size_t threads : {1U, 2U, 8U}) {
       SweepExecutor executor(threads);
       expect_identical_stretch(
-          serial_stretch,
-          analysis::run_stretch_experiment(g, scenarios, protocols, executor),
-          threads);
-      expect_identical_coverage(
-          serial_coverage,
-          analysis::run_coverage_experiment(g, scenarios, protocols, executor),
+          serial, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
           threads);
     }
   }
@@ -304,69 +281,21 @@ TEST(ParallelSweepDeterminismTest, ScenarioRoutingCacheKeepsSweepsBitIdentical) 
   }
 
   const auto serial = analysis::run_stretch_experiment(g, scenarios, protocols);
-  const auto serial_cov = analysis::run_coverage_experiment(g, scenarios, protocols);
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
     expect_identical_stretch(
         serial, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
         threads);
-    expect_identical_coverage(
-        serial_cov,
-        analysis::run_coverage_experiment(g, scenarios, protocols, executor),
-        threads);
-  }
-}
-
-TEST(ParallelSweepDeterminismTest, AggregateCostBitIdenticalToSerialBatches) {
-  // FlowStatsReduction merged in canonical shard order must reproduce the
-  // serial per-scenario accumulation exactly, including the floating-point
-  // cost total (same additions in the same order).
-  graph::Rng rng(7);
-  const graph::Graph g = graph::random_two_edge_connected(12, 8, rng);
-  const analysis::ProtocolSuite suite(g);
-  const auto scenarios = net::all_single_failures(g);
-  const auto flows = sim::all_pairs_flows(g);
-
-  // Serial reference: route every scenario with a fresh PR instance.
-  std::vector<sim::FlowStatsReduction> serial_per_scenario(scenarios.size());
-  for (std::size_t u = 0; u < scenarios.size(); ++u) {
-    net::Network network(g);
-    for (graph::EdgeId e : scenarios[u].elements()) network.fail_link(e);
-    const auto proto = suite.pr().make(network);
-    const auto batch = sim::route_batch(network, *proto, flows);
-    for (const auto& fs : batch.stats()) serial_per_scenario[u].add(fs);
-  }
-  sim::FlowStatsReduction serial_total;
-  for (const auto& shard : serial_per_scenario) serial_total.merge(shard);
-
-  for (const std::size_t threads : {1U, 2U, 8U}) {
-    SweepExecutor executor(threads);
-    std::vector<sim::FlowStatsReduction> shards(scenarios.size());
-    executor.run(scenarios.size(), [&](std::size_t unit, WorkerContext& ctx) {
-      net::Network network(g);
-      for (graph::EdgeId e : scenarios[unit].elements()) network.fail_link(e);
-      const auto proto = suite.pr().make(network);
-      sim::route_batch(network, *proto, flows, sim::TraceMode::kStats, ctx.batch);
-      for (const auto& fs : ctx.batch.stats()) shards[unit].add(fs);
-    });
-    sim::FlowStatsReduction total;
-    for (const auto& shard : shards) total.merge(shard);
-
-    EXPECT_EQ(total.flows, serial_total.flows);
-    EXPECT_EQ(total.delivered, serial_total.delivered);
-    EXPECT_EQ(total.hops, serial_total.hops);
-    // Bit-identical, not nearly-equal.
-    EXPECT_EQ(total.cost, serial_total.cost) << threads << " threads";
   }
 }
 
 // ---------------------------------------------------------------------------
-// ProtocolCoverage::coverage() pinned semantics (regression)
+// ProtocolStretch::coverage() pinned semantics (regression)
 
-TEST(ProtocolCoverageTest, CoverageCornerSemanticsPinned) {
+TEST(ProtocolStretchTest, CoverageCornerSemanticsPinned) {
   const auto make = [](std::size_t delivered, std::size_t reachable,
                        std::size_t partitioned) {
-    return analysis::ProtocolCoverage{"t", delivered, reachable, partitioned};
+    return analysis::ProtocolStretch{"t", {}, delivered, reachable, partitioned};
   };
 
   // A genuinely empty sweep (nothing routed) is vacuously covered.
@@ -382,16 +311,9 @@ TEST(ProtocolCoverageTest, CoverageCornerSemanticsPinned) {
   EXPECT_DOUBLE_EQ(make(3, 1, 2).coverage(), 0.75);
   EXPECT_DOUBLE_EQ(make(4, 0, 0).coverage(), 1.0);
   EXPECT_DOUBLE_EQ(make(4, 0, 9).coverage(), 1.0);
-}
-
-TEST(ProtocolCoverageTest, MergeSumsCounters) {
-  analysis::ProtocolCoverage a{"p", 3, 1, 2};
-  const analysis::ProtocolCoverage b{"p", 4, 0, 5};
-  a.merge(b);
-  EXPECT_EQ(a.delivered, 7u);
-  EXPECT_EQ(a.dropped_reachable, 1u);
-  EXPECT_EQ(a.dropped_partitioned, 7u);
-  EXPECT_EQ(a.total(), 15u);
+  // Both drop classes count as dropped; total() is every routed packet.
+  EXPECT_EQ(make(3, 1, 2).dropped(), 3u);
+  EXPECT_EQ(make(3, 1, 2).total(), 6u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // shared-risk link groups.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
+#include "analysis/stretch.hpp"
 #include "core/policy.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -166,7 +166,7 @@ TEST(Srlg, PrSurvivesAllNonDisconnectingGroupsOnGeant) {
   }
   ASSERT_GE(scenarios.size(), 10U);
 
-  const auto result = analysis::run_coverage_experiment(g, scenarios, {suite.pr()});
+  const auto result = analysis::run_stretch_experiment(g, scenarios, {suite.pr()});
   EXPECT_EQ(result.protocols[0].dropped_reachable, 0U);
   EXPECT_DOUBLE_EQ(result.protocols[0].coverage(), 1.0);
 }

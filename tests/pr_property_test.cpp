@@ -7,7 +7,8 @@
 //      graphs and by sampling on larger ones;
 //  P3  the guarantee needs embedding quality, not low genus per se: PR-safe
 //      random rotations work, self-paired ones provably strand packets
-//      (reproduction finding, DESIGN.md section 8);
+//      (reproduction finding F1), and a PR-safe embedding with handles can
+//      still loop (finding F2, NonPlanarLivelock);
 //  P4  measured stretch is always >= 1 and equals 1 on unaffected pairs.
 #include <gtest/gtest.h>
 
@@ -232,7 +233,7 @@ TEST(RandomNonPlanarSuite, SingleFailuresStillRecoveredWhenSafe) {
 }
 
 TEST(NonPlanarLivelock, HandleBoundaryStrandsPacketDespiteSafety) {
-  // Reproduction finding F2 (DESIGN.md section 8), pinned as a regression:
+  // Reproduction finding F2, pinned as a regression:
   // on a genus-5 PR-safe embedding of a dense 9-node graph, the failure set
   // {3-6, 7-8, 4-5, 0-2, 1-3} leaves 3 and 1 connected, yet the packet orbits
   // the joined-region boundary 3->8->4 forever: on a handle, a boundary

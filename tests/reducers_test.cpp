@@ -1,7 +1,7 @@
 // Tests for the streaming sweep reducers: the P^2 quantile estimator against
 // an exact sorted-sample oracle (tiny-n exactness, duplicate-heavy and
-// random streams), the bounded top-K heap's deterministic replacement and
-// merge rules, and the running summary.
+// random streams), the bounded top-K heap's deterministic replacement rule,
+// and the running summary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,33 +164,6 @@ TEST(TopK, TiesKeepTheEarliestId) {
     ASSERT_EQ(sorted.size(), 2u);
     EXPECT_EQ(sorted[0].id, 0u);
     EXPECT_EQ(sorted[1].id, 1u);
-  }
-}
-
-TEST(TopK, MergeOfShardsMatchesStreamingWithDistinctKeys) {
-  // Distinct keys make top-K a pure set property, so sharding + canonical
-  // merge must agree with one serial stream.
-  std::mt19937_64 engine(11);
-  std::vector<double> keys;
-  for (int i = 0; i < 200; ++i) keys.push_back(static_cast<double>(i) + 0.5);
-  std::shuffle(keys.begin(), keys.end(), engine);
-
-  TopK<std::uint64_t> serial(8);
-  std::vector<TopK<std::uint64_t>> shards(4, TopK<std::uint64_t>(8));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    serial.add(keys[i], i, i);
-    shards[i % 4].add(keys[i], i, i);
-  }
-  TopK<std::uint64_t> merged(8);
-  for (const auto& shard : shards) merged.merge(shard);
-
-  const auto a = serial.sorted();
-  const auto b = merged.sorted();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key);
-    EXPECT_EQ(a[i].id, b[i].id);
-    EXPECT_EQ(a[i].value, b[i].value);
   }
 }
 

@@ -4,9 +4,9 @@
 
 #include <limits>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
 #include "analysis/stats.hpp"
+#include "analysis/stretch.hpp"
 #include "graph/generators.hpp"
 #include "net/failure_model.hpp"
 #include "topo/topologies.hpp"
@@ -90,7 +90,7 @@ TEST(NodeFailures, PrSurvivesEveryNodeOutageOnPlanarTopologies) {
   for (const auto& g : {topo::abilene(), topo::geant()}) {
     const ProtocolSuite suite(g);
     const auto scenarios = net::all_node_failures(g);
-    const auto result = run_coverage_experiment(g, scenarios, {suite.pr()});
+    const auto result = run_stretch_experiment(g, scenarios, {suite.pr()});
     EXPECT_EQ(result.protocols[0].dropped_reachable, 0U);
     EXPECT_DOUBLE_EQ(result.protocols[0].coverage(), 1.0);
   }
@@ -100,7 +100,7 @@ TEST(NodeFailures, PairsThroughDeadRouterClassifiedPartitioned) {
   const auto g = graph::ring(4);
   const ProtocolSuite suite(g);
   std::vector<graph::EdgeSet> scenarios = net::all_node_failures(g);
-  const auto result = run_coverage_experiment(g, scenarios, {suite.pr()});
+  const auto result = run_stretch_experiment(g, scenarios, {suite.pr()});
   // On a 4-ring, killing any node leaves the other three connected: the only
   // unreachable pairs are those with the dead node as source or sink, and
   // those count as partitioned, never as protocol failures.
