@@ -6,9 +6,9 @@
 // with sampled single-link failure scenarios three ways:
 //
 //   1. repair drives: the batched destination-tree drive (orphan subtrees
-//      found through the pristine children index, sparse column restores,
-//      argmax-gated column-max updates) against the per-destination legacy
-//      drive, bit-identity checked before anything is timed
+//      found through the pristine children index, sparse row restores)
+//      against the per-destination legacy drive (dense column restores),
+//      bit-identity checked before anything is timed
 //      ("repair_speedup" per scale);
 //   2. threads: the same scenario set through SweepExecutor worker pools of
 //      1/2/4/8 threads, each worker repairing on its own warm
@@ -98,8 +98,10 @@ double elapsed_ms(Clock::time_point start) {
 }
 
 /// Sampled-row digest of a routing table: cheap enough to run per scenario
-/// inside timed loops, sensitive enough that any next-hop or cost divergence
-/// at the sampled rows changes it.  FNV-1a.
+/// inside timed loops, sensitive enough that any next-hop or hop-count
+/// divergence at the sampled rows changes it.  It leaves out
+/// max_discriminator(), a whole-table scan; require_identical compares that
+/// on the deep checks.  FNV-1a.
 std::uint64_t table_digest(const route::RoutingDb& db) {
   const std::size_t n = db.graph().node_count();
   std::uint64_t h = 1469598103934665603ULL;
@@ -114,7 +116,6 @@ std::uint64_t table_digest(const route::RoutingDb& db) {
       mix(db.hops(at, dest));
     }
   }
-  mix(db.max_discriminator());
   return h;
 }
 

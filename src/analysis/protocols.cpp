@@ -4,11 +4,10 @@ namespace pr::analysis {
 
 namespace {
 
-/// Non-owning adapter so factories can hand out suite- or cache-owned
-/// protocol instances through the unique_ptr-returning factory interface.
-/// The referenced protocol must outlive the scenario (suite members do by
-/// contract; cache-owned ones live until the cache's next different-scenario
-/// call, exactly the borrowing rule ScenarioRoutingCache documents).
+/// Non-owning adapter so factories can hand out suite-owned protocol
+/// instances through the unique_ptr-returning factory interface.  The
+/// referenced protocol must outlive the scenario (suite members do by
+/// contract).
 class BorrowedProtocol final : public net::ForwardingProtocol {
  public:
   explicit BorrowedProtocol(net::ForwardingProtocol& inner) : inner_(&inner) {}
@@ -28,14 +27,20 @@ class BorrowedProtocol final : public net::ForwardingProtocol {
   net::ForwardingProtocol* inner_;
 };
 
-/// Owning per-scenario variant for drivers without a cache: converged tables
-/// for the network's current failure set plus the alternates derived from
-/// them.
+/// Per-scenario LFA: alternates derived from the converged tables of the
+/// network's current failure set, which it either builds and owns (drivers
+/// without a cache) or borrows from the driver's ScenarioRoutingCache.
 class PostConvergenceLfa final : public net::ForwardingProtocol {
  public:
   PostConvergenceLfa(const net::Network& net, route::DiscriminatorKind kind)
-      : db_(net.graph(), &net.failed_links(), kind),
-        lfa_(db_, route::LfaKind::kLinkProtecting) {}
+      : owned_(std::make_unique<route::RoutingDb>(net.graph(), &net.failed_links(),
+                                                  kind)),
+        lfa_(*owned_, route::LfaKind::kLinkProtecting) {}
+
+  /// `tables` must reflect the network's current failure set and outlive
+  /// this instance.
+  explicit PostConvergenceLfa(const route::RoutingDb& tables)
+      : lfa_(tables, route::LfaKind::kLinkProtecting) {}
 
   [[nodiscard]] net::ForwardingDecision forward(const net::Network& net,
                                                 graph::NodeId at,
@@ -49,7 +54,7 @@ class PostConvergenceLfa final : public net::ForwardingProtocol {
   }
 
  private:
-  route::RoutingDb db_;
+  std::unique_ptr<route::RoutingDb> owned_;  ///< null when borrowing cache tables
   route::LfaRouting lfa_;
 };
 
@@ -136,13 +141,12 @@ NamedFactory ProtocolSuite::lfa_post_convergence() const {
   factory.make = [kind](const net::Network& net) {
     return std::make_unique<PostConvergenceLfa>(net, kind);
   };
-  // Sweep path: delta-repaired tables + incrementally resynced alternates,
-  // both borrowed from the driver's cache.
+  // Sweep path: alternates derived from the driver cache's delta-repaired
+  // tables -- bit-identical to the fresh build.
   factory.make_cached = [kind](const net::Network& net,
                                route::ScenarioRoutingCache& cache) {
-    return std::make_unique<BorrowedProtocol>(
-        cache.lfa(net.graph(), net.failed_links(),
-                  route::LfaKind::kLinkProtecting, kind));
+    return std::make_unique<PostConvergenceLfa>(
+        cache.tables(net.graph(), net.failed_links(), kind));
   };
   return factory;
 }

@@ -46,9 +46,9 @@ class ProtocolSuite {
   [[nodiscard]] NamedFactory lfa_node_protecting() const;
   /// LFA with PER-SCENARIO alternates: the classic variants above derive
   /// alternates from the pristine tables once (what a router knows before
-  /// convergence); this one re-derives them from the scenario's converged
-  /// tables -- fresh per scenario via `make`, incrementally resynced through
-  /// ScenarioRoutingCache::lfa() via `make_cached`.
+  /// convergence); this one derives them per scenario from the converged
+  /// tables -- built fresh via `make`, borrowed from the driver's
+  /// ScenarioRoutingCache via `make_cached`.
   [[nodiscard]] NamedFactory lfa_post_convergence() const;
   [[nodiscard]] NamedFactory spf() const;
 

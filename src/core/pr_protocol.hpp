@@ -19,9 +19,15 @@
 //                      failure recovery in 2-edge-connected networks but can
 //                      loop under failure combinations (the walker's TTL then
 //                      expires; the coverage bench quantifies this).
-//   kDistanceDiscriminator (4.3): full protocol; delivery guaranteed for any
-//                      failure combination that keeps source and destination
-//                      connected.
+//   kDistanceDiscriminator (4.3): full protocol.  The paper claims delivery
+//                      whenever source and destination stay connected; the
+//                      tests find no reachable packet dropped on genus-0
+//                      embeddings.  With handles PR can drop some even when
+//                      PR-safe: pr_property_test's NonPlanarLivelock (genus
+//                      5); integration_test requires drops on Teleglobe
+//                      (genus 1).  A self-paired link is one cause of drops;
+//                      having none is necessary, not sufficient.  ROADMAP.md's
+//                      face-dual item proposes a rule for the rest (unproven).
 #pragma once
 
 #include <cstdint>

@@ -34,8 +34,8 @@ struct Embedding {
 
   [[nodiscard]] bool planar() const noexcept { return genus == 0; }
 
-  /// True when every link separates two distinct cells -- the embedding
-  /// quality PR's delivery guarantee rests on (see faces.hpp).
+  /// True when every link separates two distinct cells: necessary for PR to
+  /// deliver every reachable packet, not sufficient (see faces.hpp).
   [[nodiscard]] bool supports_pr() const {
     return pr_safe(rotation.graph(), faces);
   }

@@ -59,14 +59,15 @@ void check_face_set(const RotationSystem& rot, const FaceSet& faces);
 /// coincide.  Reproduction finding (pr_property_test's EmbeddingQuality
 /// tests): when such a link fails, the joined boundary splits into two
 /// components and cycle following can strand the packet on the one without
-/// the exit point, so PR's delivery guarantee requires an embedding with NO
-/// self-paired edges.
+/// the exit point, so an embedding with a self-paired edge can drop packets
+/// whose destination is still reachable.
 /// Planar embeddings of 2-edge-connected graphs never have any (their faces
 /// are edge-simple); random rotation systems frequently do.
 [[nodiscard]] std::vector<EdgeId> self_paired_edges(const Graph& g, const FaceSet& faces);
 
-/// True when every link separates two distinct cells: the precondition for
-/// the Packet Re-cycling guarantees.
+/// True when every link separates two distinct cells (no self-paired edge):
+/// necessary for PR to deliver every reachable packet, not sufficient (see
+/// the kDistanceDiscriminator note in core/pr_protocol.hpp).
 [[nodiscard]] bool pr_safe(const Graph& g, const FaceSet& faces);
 
 /// Human-readable rendering such as "A->B->D->A" for reports and examples.

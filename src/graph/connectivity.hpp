@@ -2,11 +2,11 @@
 // 2-edge-connectivity.
 //
 // Packet Re-cycling's single-failure guarantee (Section 4.2 of the paper)
-// requires a 2-edge-connected network; its multi-failure guarantee holds for
-// failure combinations that keep source and destination connected.  The
-// experiment harness therefore needs fast residual-connectivity checks to
-// filter sampled failure scenarios, and topology constructors assert
-// 2-edge-connectivity up front.
+// requires a 2-edge-connected network; under failure combinations the tests
+// confirm delivery between connected endpoints on genus-0 embeddings only
+// (see core/pr_protocol.hpp).  The experiment harness therefore needs fast
+// residual-connectivity checks to filter sampled failure scenarios, and
+// topology constructors assert 2-edge-connectivity up front.
 #pragma once
 
 #include <cstdint>

@@ -28,8 +28,8 @@ namespace pr::net {
 [[nodiscard]] std::vector<graph::EdgeSet> all_node_failures(const Graph& g);
 
 /// Uniformly samples up to `scenarios` distinct k-subsets of edges whose
-/// removal keeps the graph connected (the regime where PR guarantees
-/// delivery).  Small subset spaces are enumerated exactly, so the result may
+/// removal keeps the graph connected (the regime of the paper's delivery
+/// claim).  Small subset spaces are enumerated exactly, so the result may
 /// contain fewer than `scenarios` sets when fewer qualify.  Throws
 /// std::invalid_argument when no qualifying subset exists (or none is found
 /// within the attempt budget on large spaces).

@@ -1,6 +1,6 @@
 #include "route/igp.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace pr::route {
 
@@ -17,10 +17,10 @@ class LinkStateIgp::Forwarding final : public net::ForwardingProtocol {
                                                 net::Packet& packet) override {
     if (at == packet.destination) return net::ForwardingDecision::deliver();
     // COW lookup: this router's overlay diff when it has one for the
-    // destination, else the shared pristine snapshot.
+    // destination, else the db's pristine snapshot.
     const graph::DartId out = igp_->overlays_[at].next_dart_or(
         packet.destination,
-        igp_->shared_db_.pristine_next_dart(at, packet.destination));
+        igp_->tables_->pristine_next_dart(at, packet.destination));
     if (out == graph::kInvalidDart) {
       return net::ForwardingDecision::drop(net::DropReason::kNoRoute);
     }
@@ -46,15 +46,12 @@ LinkStateIgp::~LinkStateIgp() = default;
 net::ForwardingProtocol& LinkStateIgp::protocol() noexcept { return *protocol_; }
 
 LinkStateIgp::LinkStateIgp(net::Simulator& sim, net::Network& network, Timings timings)
-    : sim_(&sim),
-      network_(&network),
-      timings_(timings),
-      shared_db_(network.graph()) {
+    : sim_(&sim), network_(&network), timings_(timings) {
   const auto& g = network.graph();
-  // Snapshot the pristine columns up front: the data plane resolves overlay
-  // misses against pristine_next_dart() from the very first packet, while the
-  // shared live columns get rebuilt per recompute.
-  shared_db_.prepare_incremental();
+  // The data plane resolves overlay misses against pristine_next_dart() from
+  // the very first packet; before the first rebuild that reads the live
+  // columns, which are still pristine.
+  tables_ = &cache_.tables(g, graph::EdgeSet(g.edge_count()));
   known_failures_.reserve(g.node_count());
   overlays_.resize(g.node_count());
   recompute_pending_.assign(g.node_count(), 0);
@@ -66,8 +63,7 @@ LinkStateIgp::LinkStateIgp(net::Simulator& sim, net::Network& network, Timings t
 }
 
 std::size_t LinkStateIgp::table_bytes() const noexcept {
-  std::size_t total = shared_db_.bytes() +
-                      shared_failures_.capacity() * sizeof(graph::EdgeId);
+  std::size_t total = tables_->bytes();
   for (const auto& overlay : overlays_) total += overlay.bytes();
   return total;
 }
@@ -108,17 +104,15 @@ void LinkStateIgp::schedule_recompute(NodeId v) {
   recompute_pending_[v] = 1;
   sim_->after(timings_.spf_delay, [this, v] {
     recompute_pending_[v] = 0;
-    // Delta-repair the SHARED db to this router's knowledge (skipped when the
-    // previous recompute already left it there -- common once flooding has
-    // equalised the link-state databases), then snapshot the router's sparse
-    // row diff.  No per-router n^2 columns anywhere.
-    const auto known = known_failures_[v].elements();
-    if (known.size() != shared_failures_.size() ||
-        !std::equal(known.begin(), known.end(), shared_failures_.begin())) {
-      shared_db_.rebuild(known_failures_[v], spf_workspace_);
-      shared_failures_.assign(known.begin(), known.end());
+    // Delta-repair the cache's db to this router's knowledge (a cache hit
+    // when the previous recompute already left it there -- common once
+    // flooding has equalised the link-state databases), then snapshot the
+    // router's sparse row diff.  No per-router n^2 columns anywhere.
+    const RoutingDb& tables = cache_.tables(network_->graph(), known_failures_[v]);
+    if (&tables != tables_) {
+      throw std::logic_error("LinkStateIgp: graph was mutated since construction");
     }
-    overlays_[v].assign_row(shared_db_, v);
+    overlays_[v].assign_row(tables, v);
     ++spf_runs_;
     last_update_ = sim_->now();
   });

@@ -21,11 +21,11 @@
 #include <memory>
 #include <vector>
 
-#include "graph/spf_workspace.hpp"
 #include "net/event_sim.hpp"
 #include "net/forwarding.hpp"
 #include "route/overlay.hpp"
 #include "route/routing_db.hpp"
+#include "route/scenario_cache.hpp"
 
 namespace pr::route {
 
@@ -37,8 +37,9 @@ class LinkStateIgp {
     net::SimTime spf_delay = 100e-3;       ///< SPF throttle + FIB update
   };
 
-  /// `sim` and `network` must outlive the IGP.  All routers start with
-  /// tables computed on the pristine topology.
+  /// `sim` and `network` must outlive the IGP, and the network's graph must
+  /// not be mutated while it lives.  All routers start with tables computed
+  /// on the pristine topology.
   LinkStateIgp(net::Simulator& sim, net::Network& network, Timings timings);
   LinkStateIgp(net::Simulator& sim, net::Network& network);
 
@@ -70,7 +71,7 @@ class LinkStateIgp {
   /// SPF recomputations performed across all routers.
   [[nodiscard]] std::uint64_t spf_runs() const noexcept { return spf_runs_; }
 
-  /// Total allocator footprint of the routing state: the shared db (live
+  /// Total allocator footprint of the routing state: the cache's db (live
   /// columns + pristine snapshot + rebuild indices) plus every router's COW
   /// overlay.  The number bench_router_memory compares against the O(n^3)
   /// per-router-copies design this replaced.
@@ -89,19 +90,20 @@ class LinkStateIgp {
   Timings timings_;
 
   /// Per-router link-state database (known failed edges), and the COW
-  /// routing state: ONE shared db delta-rebuilt to a recomputing router's
-  /// known-failure set (memoised via shared_failures_, so routers converging
+  /// routing state: ONE cache whose db is delta-rebuilt to a recomputing
+  /// router's known-failure set (memoised by the cache, so routers converging
   /// on the same knowledge share one repair), from which each router keeps
   /// only its sparse row overlay -- O(n^2) + damage across the network
   /// instead of the former n full RoutingDb copies (O(n^3)).  The data plane
-  /// resolves lookups overlay-first against the shared pristine snapshot, so
-  /// forwarding is bit-identical to the per-router-copies design.  The
-  /// workspace is shared because the event simulator is single-threaded.
+  /// resolves lookups overlay-first against the db's pristine snapshot, so
+  /// forwarding is bit-identical to the per-router-copies design.  One cache
+  /// serves every router because the event simulator is single-threaded.
   std::vector<graph::EdgeSet> known_failures_;
-  RoutingDb shared_db_;
-  std::vector<graph::EdgeId> shared_failures_;  ///< set shared_db_ reflects
+  ScenarioRoutingCache cache_;
+  /// The cache's db: the same object on every call, since the graph and the
+  /// discriminator kind never change.
+  const RoutingDb* tables_ = nullptr;
   std::vector<RouterTableOverlay> overlays_;
-  graph::SpfWorkspace spf_workspace_;
   std::vector<std::uint8_t> recompute_pending_;
   std::size_t injected_failures_ = 0;
 

@@ -12,8 +12,6 @@ LfaRouting::LfaRouting(const RoutingDb& routes, LfaKind kind)
       alternate_[index(v, dest)] = compute_pair(g, v, dest);
     }
   }
-  const auto dirty = routes.dirty_destinations();
-  synced_dirty_.assign(dirty.begin(), dirty.end());
 }
 
 DartId LfaRouting::compute_pair(const Graph& g, NodeId v, NodeId dest) const {
@@ -44,33 +42,6 @@ DartId LfaRouting::compute_pair(const Graph& g, NodeId v, NodeId dest) const {
     }
   }
   return best;
-}
-
-void LfaRouting::resync() {
-  const Graph& g = routes_->graph();
-  const std::size_t n = g.node_count();
-  const auto dirty = routes_->dirty_destinations();
-  ++resyncs_;
-  if (synced_dirty_.empty() && dirty.empty()) return;  // nothing moved
-  col_flag_.assign(n, 0);
-  for (const NodeId c : synced_dirty_) col_flag_[c] = 1;
-  for (const NodeId c : dirty) col_flag_[c] = 1;
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId t = 0; t < n; ++t) {
-      bool stale = col_flag_[t] != 0 || col_flag_[v] != 0;
-      if (!stale && kind_ == LfaKind::kNodeProtecting && v != t &&
-          routes_->reachable(v, t)) {
-        // Column t is clean here, so the current primary hop equals the one
-        // the stored alternate was derived with -- flag on ITS column too.
-        stale = col_flag_[g.dart_head(routes_->next_dart(v, t))] != 0;
-      }
-      if (stale) {
-        alternate_[index(v, t)] = compute_pair(g, v, t);
-        ++pairs_recomputed_;
-      }
-    }
-  }
-  synced_dirty_.assign(dirty.begin(), dirty.end());
 }
 
 net::ForwardingDecision LfaRouting::forward(const net::Network& net, NodeId at,

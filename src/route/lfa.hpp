@@ -30,27 +30,12 @@ class LfaRouting final : public net::ForwardingProtocol {
  public:
   /// Precomputes primary next hops and the best (lowest alternate-path cost)
   /// loop-free alternate per (router, destination).  `routes` must outlive
-  /// the protocol; the alternates reflect whatever scenario its tables hold
-  /// at this moment (historically always pristine -- per-scenario alternate
-  /// sets now come from resync() via ScenarioRoutingCache::lfa()).
+  /// the protocol and keep its current tables while the protocol is used:
+  /// the alternates are derived once, from the scenario those tables hold at
+  /// construction (pristine for the classic variants, converged for the
+  /// post-convergence one).
   explicit LfaRouting(const RoutingDb& routes,
                       LfaKind kind = LfaKind::kLinkProtecting);
-
-  /// Incrementally re-derives the alternates after the underlying tables were
-  /// rebuilt to a new failure scenario, with results bit-identical to
-  /// constructing a fresh LfaRouting over the rebuilt db.  Pair (v, t) reads
-  /// only table columns t, v and -- node-protecting -- the primary next hop's
-  /// column, so the only pairs recomputed are those touching a column that is
-  /// dirty now or was dirty at the previous sync; everything else provably
-  /// kept its value.  Cost: one O(n^2) flag scan plus the touched pairs'
-  /// neighbour loops, instead of every pair's.
-  void resync();
-
-  /// Instrumentation: resync() invocations and pairs recomputed by them.
-  [[nodiscard]] std::uint64_t resyncs() const noexcept { return resyncs_; }
-  [[nodiscard]] std::uint64_t pairs_recomputed() const noexcept {
-    return pairs_recomputed_;
-  }
 
   [[nodiscard]] net::ForwardingDecision forward(const net::Network& net, NodeId at,
                                                 DartId arrived_over,
@@ -76,20 +61,13 @@ class LfaRouting final : public net::ForwardingProtocol {
     return static_cast<std::size_t>(at) * routes_->graph().node_count() + dest;
   }
 
-  /// The best alternate for one pair under the tables' CURRENT state
-  /// (kInvalidDart when none / self / unreachable).
+  /// The best alternate for one pair (kInvalidDart when none / self /
+  /// unreachable).
   [[nodiscard]] DartId compute_pair(const Graph& g, NodeId v, NodeId dest) const;
 
   const RoutingDb* routes_;
   LfaKind kind_;
   std::vector<DartId> alternate_;
-
-  /// The dirty-destination set the alternates were last derived against
-  /// (resync unions it with the tables' current one to find stale pairs).
-  std::vector<NodeId> synced_dirty_;
-  std::vector<std::uint8_t> col_flag_;  ///< resync scratch, node-indexed
-  std::uint64_t resyncs_ = 0;
-  std::uint64_t pairs_recomputed_ = 0;
 };
 
 }  // namespace pr::route

@@ -38,16 +38,6 @@ RoutingDb::RoutingDb(const Graph& g, const graph::EdgeSet* excluded,
     workspace.full_build(g, dest, excluded, dist_.data() + base,
                          hops_.data() + base, next_dart_.data() + base);
   }
-
-  // One flat whole-table pass (no per-pair reachability re-check, no
-  // allocation); the per-column breakdown that keeps this maintainable
-  // across rebuilds is materialised lazily with the rest of the
-  // incremental state.
-  max_discriminator_ = 0;
-  for (NodeId dest = 0; dest < node_count_; ++dest) {
-    max_discriminator_ = std::max(max_discriminator_, column_max_discriminator(dest));
-  }
-
   baseline_excluded_ = excluded != nullptr && !excluded->empty();
   graph_structure_id_ = g.structure_id();
 }
@@ -62,40 +52,10 @@ void RoutingDb::ensure_incremental_state() {
   pristine_next_dart_ = next_dart_;
   pristine_dist_ = dist_;
   pristine_hops_ = hops_;
-  col_max_disc_.resize(node_count_);
-  pristine_col_argmax_.resize(node_count_);
-  for (NodeId dest = 0; dest < node_count_; ++dest) {
-    // Track the argmax row alongside the max: a rebuild only rescans a column
-    // when that one row was orphaned (every other row either keeps its
-    // pristine discriminator or is in the orphan list the repair hands back).
-    const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
-    std::uint32_t best = 0;
-    NodeId best_at = dest;  // the dest row is always reachable with disc 0
-    for (NodeId at = 0; at < node_count_; ++at) {
-      if (dist_[base + at] == graph::kUnreachable) continue;
-      const std::uint32_t d = disc_at(base + at);
-      if (d > best) {
-        best = d;
-        best_at = at;
-      }
-    }
-    col_max_disc_[dest] = best;
-    pristine_col_argmax_[dest] = best_at;
-  }
-  pristine_col_max_disc_ = col_max_disc_;
   build_edge_dest_index();
   build_children_index();
   dest_flag_.assign(node_count_, 0);
   incremental_ready_ = true;
-}
-
-void RoutingDb::prepare_incremental() {
-  if (baseline_excluded_) {
-    throw std::logic_error(
-        "RoutingDb::prepare_incremental: only supported on a db built without "
-        "a baseline exclusion set");
-  }
-  ensure_incremental_state();
 }
 
 void RoutingDb::build_edge_dest_index() {
@@ -174,7 +134,6 @@ void RoutingDb::restore_dirty_columns() {
       std::copy_n(pristine_dist_.data() + base, node_count_, dist_.data() + base);
       std::copy_n(pristine_hops_.data() + base, node_count_, hops_.data() + base);
     }
-    col_max_disc_[dest] = pristine_col_max_disc_[dest];
   }
   dirty_dests_.clear();
   changed_offsets_.clear();
@@ -221,7 +180,6 @@ void RoutingDb::rebuild(const graph::EdgeSet& excluded,
       const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
       workspace.repair(*graph_, dest, excluded, dist_.data() + base,
                        hops_.data() + base, next_dart_.data() + base);
-      col_max_disc_[dest] = column_max_discriminator(dest);
       dirty_dests_.push_back(dest);
     }
   } else {
@@ -234,45 +192,19 @@ void RoutingDb::rebuild(const graph::EdgeSet& excluded,
           next_dart_.data() + base, children_view(dest));
       if (orphans.empty()) continue;  // defensive: tree untouched, stay clean
       // The orphan list is exactly the set of rows that may now differ from
-      // pristine: record it for the next restore, and fold the regrown rows
-      // into the column maximum.  Non-orphan rows keep their pristine
-      // discriminators, so unless the pristine argmax row itself was orphaned
-      // the new maximum is max(pristine max, regrown rows' max) -- no column
-      // scan.  (A regrown row CAN shrink its discriminator -- a costlier
-      // surviving path may have fewer hops -- which is why the orphaned-
-      // argmax case rescans instead of assuming monotonicity.)
-      const NodeId argmax = pristine_col_argmax_[dest];
-      bool argmax_orphaned = false;
-      std::uint32_t orphan_max = 0;
-      for (const NodeId v : orphans) {
-        changed_nodes_.push_back(v);
-        argmax_orphaned = argmax_orphaned || v == argmax;
-        const std::size_t flat = base + v;
-        if (dist_[flat] != graph::kUnreachable) {
-          orphan_max = std::max(orphan_max, disc_at(flat));
-        }
-      }
+      // pristine: record it for the next restore.
+      changed_nodes_.insert(changed_nodes_.end(), orphans.begin(), orphans.end());
       changed_offsets_.push_back(changed_nodes_.size());
-      col_max_disc_[dest] =
-          argmax_orphaned
-              ? column_max_discriminator(dest)
-              : std::max(pristine_col_max_disc_[dest], orphan_max);
       dirty_dests_.push_back(dest);
     }
   }
-
-  max_discriminator_ = col_max_disc_.empty()
-                           ? 0
-                           : *std::max_element(col_max_disc_.begin(),
-                                               col_max_disc_.end());
 }
 
 std::uint32_t RoutingDb::discriminator(NodeId at, NodeId dest) const {
   if (!reachable(at, dest)) {
     throw std::logic_error("RoutingDb::discriminator: destination unreachable");
   }
-  if (kind_ == DiscriminatorKind::kHops) return hops(at, dest);
-  return static_cast<std::uint32_t>(std::llround(cost(at, dest)));
+  return disc_at(flat_index(at, dest));
 }
 
 std::uint32_t RoutingDb::disc_at(std::size_t flat) const noexcept {
@@ -281,19 +213,10 @@ std::uint32_t RoutingDb::disc_at(std::size_t flat) const noexcept {
              : static_cast<std::uint32_t>(std::llround(dist_[flat]));
 }
 
-std::uint32_t RoutingDb::column_max_discriminator(NodeId dest) const noexcept {
-  const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
+std::uint32_t RoutingDb::max_discriminator() const noexcept {
   std::uint32_t best = 0;
-  if (kind_ == DiscriminatorKind::kHops) {
-    for (std::size_t i = base; i < base + node_count_; ++i) {
-      if (dist_[i] != graph::kUnreachable) best = std::max(best, hops_[i]);
-    }
-  } else {
-    for (std::size_t i = base; i < base + node_count_; ++i) {
-      if (dist_[i] != graph::kUnreachable) {
-        best = std::max(best, static_cast<std::uint32_t>(std::llround(dist_[i])));
-      }
-    }
+  for (std::size_t flat = 0; flat < dist_.size(); ++flat) {
+    if (dist_[flat] != graph::kUnreachable) best = std::max(best, disc_at(flat));
   }
   return best;
 }
@@ -305,14 +228,13 @@ std::size_t RoutingDb::memory_bytes_per_router() const noexcept {
 
 std::size_t RoutingDb::bytes() const noexcept {
   return sizeof(*this) + cap_bytes(next_dart_) + cap_bytes(dist_) +
-         cap_bytes(hops_) + cap_bytes(col_max_disc_) +
-         cap_bytes(pristine_next_dart_) + cap_bytes(pristine_dist_) +
-         cap_bytes(pristine_hops_) + cap_bytes(pristine_col_max_disc_) +
-         cap_bytes(pristine_col_argmax_) + cap_bytes(edge_dest_offsets_) +
-         cap_bytes(edge_dest_ids_) + cap_bytes(child_offsets_) +
-         cap_bytes(child_ids_) + cap_bytes(dirty_dests_) +
-         cap_bytes(dest_flag_) + cap_bytes(affected_dests_) +
-         cap_bytes(changed_offsets_) + cap_bytes(changed_nodes_);
+         cap_bytes(hops_) + cap_bytes(pristine_next_dart_) +
+         cap_bytes(pristine_dist_) + cap_bytes(pristine_hops_) +
+         cap_bytes(edge_dest_offsets_) + cap_bytes(edge_dest_ids_) +
+         cap_bytes(child_offsets_) + cap_bytes(child_ids_) +
+         cap_bytes(dirty_dests_) + cap_bytes(dest_flag_) +
+         cap_bytes(affected_dests_) + cap_bytes(changed_offsets_) +
+         cap_bytes(changed_nodes_);
 }
 
 }  // namespace pr::route

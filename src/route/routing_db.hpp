@@ -30,12 +30,12 @@ enum class DiscriminatorKind : std::uint8_t {
 enum class RepairDrive : std::uint8_t {
   /// Batched fast path (default): orphan subtrees discovered by descending
   /// the pristine children index (O(region) per tree, epoch-stamped scratch),
-  /// restores replay only the rows the previous scenario changed, and column
-  /// maxima are maintained without full column scans.  Bit-identical output.
+  /// and restores replay only the rows the previous scenario changed.
+  /// Bit-identical output.
   kBatchedTrees,
   /// The pre-backbone scenario-at-a-time path: per-tree memoised-walk orphan
-  /// classification plus dense column restores and scans, each O(n).  Kept as
-  /// the measured baseline for bench_backbone and as a second oracle in the
+  /// classification plus dense column restores, each O(n).  Kept as the
+  /// measured baseline for bench_backbone and as a second oracle in the
   /// equivalence tests.
   kPerDestination,
 };
@@ -70,16 +70,9 @@ class RoutingDb {
   void rebuild(const graph::EdgeSet& excluded, graph::SpfWorkspace& workspace,
                RepairDrive drive = RepairDrive::kBatchedTrees);
 
-  /// Materialises the incremental-rebuild state (pristine snapshot, edge ->
-  /// destination-tree index, children index) up front, so the first real
-  /// rebuild -- or a reader of pristine_next_dart()/dirty_destinations() --
-  /// pays no surprise O(n^2) pass.  Same restrictions as rebuild().
-  void prepare_incremental();
-
   /// Destinations whose columns currently differ from the pristine tables
-  /// (empty when never rebuilt or after an empty-set rebuild).  Consumers:
-  /// sparse per-router overlays (route::RouterTableOverlay) and incremental
-  /// LFA alternate resync.
+  /// (empty when never rebuilt or after an empty-set rebuild).  Its one
+  /// consumer is the sparse per-router overlay (route::RouterTableOverlay).
   [[nodiscard]] std::span<const NodeId> dirty_destinations() const noexcept {
     return dirty_dests_;
   }
@@ -117,11 +110,9 @@ class RoutingDb {
   [[nodiscard]] std::uint32_t discriminator(NodeId at, NodeId dest) const;
 
   /// Largest finite discriminator in the table: sizes the DD header field.
-  /// Maintained per destination column at construction and across rebuilds,
-  /// so reading it is free.
-  [[nodiscard]] std::uint32_t max_discriminator() const noexcept {
-    return max_discriminator_;
-  }
+  /// One O(n^2) pass over the live columns per call, so read it once per
+  /// table, not per scenario.
+  [[nodiscard]] std::uint32_t max_discriminator() const noexcept;
 
   [[nodiscard]] DiscriminatorKind discriminator_kind() const noexcept { return kind_; }
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
@@ -141,10 +132,6 @@ class RoutingDb {
   [[nodiscard]] std::size_t flat_index(NodeId at, NodeId dest) const noexcept {
     return static_cast<std::size_t>(dest) * node_count_ + at;
   }
-
-  /// Single pass over destination `dest`'s flat columns (no per-pair
-  /// reachability re-check).
-  [[nodiscard]] std::uint32_t column_max_discriminator(NodeId dest) const noexcept;
 
   /// CSR index: for each edge, the destinations whose pristine tree uses it.
   void build_edge_dest_index();
@@ -182,11 +169,6 @@ class RoutingDb {
   std::vector<Weight> dist_;
   std::vector<std::uint32_t> hops_;
 
-  // Cached global discriminator maximum (one flat pass at construction,
-  // maintained via the per-column maxima across rebuilds).
-  std::uint32_t max_discriminator_ = 0;
-  std::vector<std::uint32_t> col_max_disc_;  ///< lazily sized with rebuild state
-
   // Incremental-rebuild state; populated lazily by the first rebuild() and
   // only when the baseline exclusion set is empty (the scenario-sweep case).
   bool baseline_excluded_ = false;
@@ -195,7 +177,6 @@ class RoutingDb {
   std::vector<DartId> pristine_next_dart_;
   std::vector<Weight> pristine_dist_;
   std::vector<std::uint32_t> pristine_hops_;
-  std::vector<std::uint32_t> pristine_col_max_disc_;
   std::vector<std::uint32_t> edge_dest_offsets_;  ///< CSR offsets, edge-indexed
   std::vector<NodeId> edge_dest_ids_;             ///< CSR payload: destinations
   std::vector<NodeId> dirty_dests_;    ///< columns differing from pristine
@@ -208,9 +189,6 @@ class RoutingDb {
   // discovery descends this.
   std::vector<std::uint32_t> child_offsets_;  ///< n * (n + 1) absolute offsets
   std::vector<NodeId> child_ids_;             ///< one entry per tree edge
-  // Argmax node of each pristine column's discriminator: rebuilds only rescan
-  // a column when its pristine argmax row was itself orphaned.
-  std::vector<NodeId> pristine_col_argmax_;
 
   // Sparse-restore bookkeeping written by the batched drive: per dirty
   // destination, the rows the repair changed (slice c of changed_nodes_ is

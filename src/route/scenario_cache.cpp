@@ -39,23 +39,4 @@ const RoutingDb& ScenarioRoutingCache::tables(const graph::Graph& g,
   return *db_;
 }
 
-LfaRouting& ScenarioRoutingCache::lfa(const graph::Graph& g,
-                                      const graph::EdgeSet& failures,
-                                      LfaKind kind, DiscriminatorKind dkind) {
-  // Sync the shared tables to the scenario first; the counters then tell this
-  // slot exactly how stale its alternates are.
-  (void)tables(g, failures, dkind);
-  LfaSlot& slot = lfa_slots_[kind == LfaKind::kLinkProtecting ? 0 : 1];
-  if (slot.lfa == nullptr || slot.synced_build != pristine_builds_) {
-    // New graph / kind epoch: the whole alternate array must be rederived
-    // (the LfaRouting constructor picks up the db's current scenario).
-    slot.lfa = std::make_unique<LfaRouting>(*db_, kind);
-  } else if (slot.synced_rebuild != rebuilds_) {
-    slot.lfa->resync();
-  }  // else: db untouched since this slot's last sync -- alternates current
-  slot.synced_build = pristine_builds_;
-  slot.synced_rebuild = rebuilds_;
-  return *slot.lfa;
-}
-
 }  // namespace pr::route

@@ -7,8 +7,9 @@
 // pristine topology and answers each scenario by RoutingDb::rebuild(): only
 // destination trees that actually use a failed edge are repaired, from the
 // orphaned-subtree frontier, with results bit-identical to the from-scratch
-// build.  One cache lives per sweep worker (sim::WorkerContext) and per
-// serial driver, so no synchronisation is needed.
+// build.  One cache lives per sweep worker (sim::WorkerContext), per serial
+// driver and per event-driven IGP (route::LinkStateIgp, which repairs to each
+// recomputing router's known failures), so no synchronisation is needed.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "graph/spf_workspace.hpp"
-#include "route/lfa.hpp"
 #include "route/routing_db.hpp"
 
 namespace pr::route {
@@ -41,17 +41,6 @@ class ScenarioRoutingCache {
       const graph::Graph& g, const graph::EdgeSet& failures,
       DiscriminatorKind kind = DiscriminatorKind::kHops);
 
-  /// Per-scenario LFA alternates, equal (bit for bit) to constructing
-  /// LfaRouting(RoutingDb(g, &failures, dkind), kind) fresh -- but produced
-  /// incrementally: the tables come from tables() above and the alternate
-  /// array is kept per LfaKind across calls, re-deriving only the pairs whose
-  /// table columns the scenario (or the previous one) touched.  Same
-  /// borrowing rules as tables(); the reference is additionally invalidated
-  /// by any later tables()/lfa() call with a different failure set or kind.
-  [[nodiscard]] LfaRouting& lfa(const graph::Graph& g,
-                                const graph::EdgeSet& failures, LfaKind kind,
-                                DiscriminatorKind dkind = DiscriminatorKind::kHops);
-
   /// Instrumentation for benches and tests.
   [[nodiscard]] std::uint64_t pristine_builds() const noexcept {
     return pristine_builds_;
@@ -75,16 +64,6 @@ class ScenarioRoutingCache {
   std::uint64_t pristine_builds_ = 0;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t hits_ = 0;
-
-  /// Per-LfaKind persistent alternate state, lazily built over db_ and
-  /// resynced to whatever scenario the db was rebuilt to since the slot's
-  /// last sync (tracked via the build / rebuild counters above).
-  struct LfaSlot {
-    std::unique_ptr<LfaRouting> lfa;
-    std::uint64_t synced_build = 0;    ///< pristine_builds_ at last sync
-    std::uint64_t synced_rebuild = 0;  ///< rebuilds_ at last sync
-  };
-  LfaSlot lfa_slots_[2];
 };
 
 }  // namespace pr::route

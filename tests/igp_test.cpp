@@ -200,6 +200,63 @@ TEST(LinkStateIgpTest, TransientMicroLoopFormsAndResolves) {
   EXPECT_EQ(trace.hops, 3U);
 }
 
+TEST(LinkStateIgpTest, EveryRouterForwardsOnItsOwnTablesMidConvergence) {
+  // Two failures a second apart on GEANT.  While the second converges, each
+  // router must forward on exactly one of two table sets: the converged
+  // tables once converged(v) holds, the tables for the first failure alone
+  // until then -- whatever the other routers have installed meanwhile.
+  IgpFixture fx(topo::geant());
+  const std::size_t n = fx.g.node_count();
+  fx.sim.at(0.0, [&] { fx.fail(0); });
+  fx.sim.at(1.0, [&] { fx.fail(7); });
+  fx.sim.run(0.996);
+  ASSERT_TRUE(fx.igp.fully_converged());
+  fx.sim.run(1.0);  // the second failure lands; no router knows of it yet
+
+  graph::EdgeSet first_only(fx.g.edge_count());
+  first_only.insert(0);
+  const RoutingDb stale(fx.g, &first_only);
+  const RoutingDb converged_tables(fx.g, &fx.network.failed_links());
+
+  bool mixed_step = false;
+  for (int step = 0; step <= 100; ++step) {
+    fx.sim.run(1.0 + 0.004 * step);
+    bool any_converged = false;
+    bool any_stale = false;
+    for (NodeId v = 0; v < n; ++v) {
+      const bool converged = fx.igp.converged(v);
+      (converged ? any_converged : any_stale) = true;
+      const RoutingDb& want = converged ? converged_tables : stale;
+      for (NodeId t = 0; t < n; ++t) {
+        net::Packet packet;
+        packet.destination = t;
+        const auto got =
+            fx.igp.protocol().forward(fx.network, v, graph::kInvalidDart, packet);
+        auto expected = net::ForwardingDecision::deliver();
+        if (v != t) {
+          const graph::DartId d = want.next_dart(v, t);
+          if (d == graph::kInvalidDart) {
+            expected = net::ForwardingDecision::drop(net::DropReason::kNoRoute);
+          } else if (!fx.network.dart_usable(d)) {
+            expected = net::ForwardingDecision::drop(net::DropReason::kPolicy);
+          } else {
+            expected = net::ForwardingDecision::forward(d);
+          }
+        }
+        ASSERT_EQ(got.action, expected.action)
+            << "step " << step << " router " << v << " dest " << t;
+        ASSERT_EQ(got.out_dart, expected.out_dart)
+            << "step " << step << " router " << v << " dest " << t;
+        ASSERT_EQ(got.reason, expected.reason)
+            << "step " << step << " router " << v << " dest " << t;
+      }
+    }
+    mixed_step = mixed_step || (any_converged && any_stale);
+  }
+  EXPECT_TRUE(mixed_step) << "no step caught the second failure mid-convergence";
+  EXPECT_TRUE(fx.igp.fully_converged());
+}
+
 TEST(LinkStateIgpTest, PartitionedRoutersCannotConverge) {
   // Cut both links of node 0 (ring of 3 leaves node 0 isolated): it can
   // never learn about the far failure it cannot see.

@@ -52,8 +52,8 @@ EdgeSet failure_set(const Graph& g, std::initializer_list<EdgeId> edges) {
   return s;
 }
 
-/// Brute-force reference for the cached max_discriminator (the pre-cache
-/// implementation's double-checked loop).
+/// Brute-force reference for max_discriminator: a per-pair loop through
+/// reachable() and discriminator() instead of one pass over the columns.
 std::uint32_t brute_force_max_discriminator(const RoutingDb& db) {
   std::uint32_t best = 0;
   const std::size_t n = db.graph().node_count();
@@ -194,7 +194,7 @@ TEST(SpfIncremental, RealTopologiesSingleFailures) {
   }
 }
 
-TEST(SpfIncremental, MaxDiscriminatorCachedMatchesBruteForce) {
+TEST(SpfIncremental, MaxDiscriminatorMatchesBruteForce) {
   graph::Rng rng(0xACE);
   const Graph g = graph::random_two_edge_connected(14, 8, rng);
   RoutingDb db(g);
