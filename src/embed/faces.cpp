@@ -36,6 +36,10 @@ FaceSet trace_faces(const RotationSystem& rot) {
 }
 
 int euler_genus(const Graph& g, const FaceSet& faces) {
+  return euler_genus(g, faces.face_count());
+}
+
+int euler_genus(const Graph& g, std::size_t face_count) {
   const auto comp = graph::connected_components(g);
   std::uint32_t c = 0;
   for (std::uint32_t id : comp) c = std::max(c, id + 1);
@@ -45,7 +49,7 @@ int euler_genus(const Graph& g, const FaceSet& faces) {
   }
   const auto v_count = static_cast<long>(g.node_count());
   const auto e_count = static_cast<long>(g.edge_count());
-  const auto f_count = static_cast<long>(faces.face_count() + isolated);
+  const auto f_count = static_cast<long>(face_count + isolated);
   const long twice_genus = 2 * static_cast<long>(c) - (v_count - e_count + f_count);
   if (twice_genus < 0 || twice_genus % 2 != 0) {
     throw std::logic_error("euler_genus: inconsistent face set (2g = " +

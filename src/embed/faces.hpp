@@ -46,6 +46,9 @@ struct FaceSet {
 /// Always a non-negative integer for a valid face set.
 [[nodiscard]] int euler_genus(const Graph& g, const FaceSet& faces);
 
+/// The same from the face count alone, for a caller that keeps it live.
+[[nodiscard]] int euler_genus(const Graph& g, std::size_t face_count);
+
 /// Convenience: trace + genus in one call.
 [[nodiscard]] int genus_of(const RotationSystem& rot);
 

@@ -66,7 +66,7 @@ class RotationSystem {
   }
 
   /// Replaces the cyclic order at `v`; validates it is a permutation of the
-  /// node's out-darts.  Used by the genus-minimising local search.
+  /// node's out-darts.
   void set_order(NodeId v, std::vector<DartId> order);
 
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
