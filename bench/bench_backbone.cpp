@@ -12,7 +12,9 @@
 //      ("repair_speedup" per scale);
 //   2. threads: the same scenario set through SweepExecutor worker pools of
 //      1/2/4/8 threads, each worker repairing on its own warm
-//      ScenarioRoutingCache, digests checked identical across pool sizes;
+//      ScenarioRoutingCache, digests checked identical across pool sizes on
+//      1 + R untimed passes; timed passes then run repair alone until at
+//      least 1 s has passed ("speedup" is against the 1-thread point);
 //   3. batch width: scenarios amortised per fresh cache (widths 1/4/16/64),
 //      pricing the pristine build + incremental-state preparation against
 //      the steady-state repair cost it unlocks.
@@ -40,10 +42,13 @@
 // (verify / legacy / batched / threads / batch-width), so a memory or time
 // blow-up is attributable to a scale and phase, not just the process total.
 // The telemetry section aggregates obs counters from the thread-curve
-// executors (cache hit rate, SPF repair fraction, per-worker utilization).
+// executors' untimed passes (cache hit rate, SPF repair fraction, per-worker
+// utilization over those passes' wall time).
 //
-// Timings are the best of R repetitions (batch-width curves are cold-start
-// by design and measured once).
+// Repair-drive timings are the best of R repetitions.  A thread point's "ms"
+// is the mean pass over the scenario set, from whole passes run back to back
+// for at least 1 s; batch-width curves are cold-start by design and measured
+// once.
 //
 //   $ ./bench_backbone [max nodes 256..8192] [scenarios 1..1024]
 //                      [repetitions 1..100] [threads 0..N]
@@ -74,6 +79,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using namespace pr;
+
+/// Shortest timed run behind each thread-curve point.
+constexpr double kMinThreadPointMs = 1000.0;
 
 double best_ms(std::size_t repetitions, const std::function<void()>& work) {
   double best = std::numeric_limits<double>::infinity();
@@ -197,10 +205,11 @@ int main(int argc, char** argv) {
        << ",\n  \"scales\": [";
 
   double largest_speedup = 0.0;
-  // Shared across scales: the thread-curve executors attribute SPF repairs,
-  // cache builds, and per-worker busy time into this registry; the aggregate
-  // becomes the JSON telemetry section.  elapsed accumulates executor wall
-  // time so per-worker utilization has a denominator.
+  // Shared across scales: the thread-curve executors' untimed passes
+  // attribute SPF repairs, cache builds, and per-worker busy time into this
+  // registry; the aggregate becomes the JSON telemetry section.  elapsed
+  // accumulates those passes' wall time so per-worker utilization has a
+  // denominator.
   obs::Registry registry;
   double telemetry_elapsed_ms = 0.0;
   bool first_scale = true;
@@ -286,31 +295,50 @@ int main(int argc, char** argv) {
       }
 
       json << ",\n      \"threads\": [";
-      bool first_threads = true;
+      double one_thread_ms = 0.0;
       for (const std::size_t threads : {1U, 2U, 4U, 8U}) {
         if (threads_cap != 0 && threads > threads_cap) break;
         sim::SweepExecutor executor(threads);
+        // Untimed: a warm-up pass and R more on warm worker caches, every
+        // pass's digests checked.  Only these passes feed the telemetry, so
+        // it counts 1 + R passes per point, as the committed
+        // BENCH_backbone.json baseline does.
         executor.set_telemetry(sim::SweepTelemetry{&registry, nullptr, nullptr});
         std::vector<std::uint64_t> digests(scenarios.size(), 0);
         const auto sweep = [&](std::size_t unit, sim::WorkerContext& ctx) {
           digests[unit] = table_digest(ctx.routes.tables(g, scenarios[unit]));
         };
-        executor.run(scenarios.size(), sweep);  // warm worker caches + verify
-        if (digests != serial_digests) {
-          throw std::runtime_error("parallel sweep digests diverged at " +
-                                   std::to_string(threads) + " threads");
-        }
-        const double ms = best_ms(repetitions, [&] {
+        const auto verify_t0 = Clock::now();
+        for (std::size_t pass = 0; pass <= repetitions; ++pass) {
           executor.run(scenarios.size(), sweep);
-        });
-        json << (first_threads ? "" : ",") << "\n        { \"threads\": " << threads
-             << ", \"ms\": " << ms << ", \"speedup\": "
-             << (ms > 0 ? batched_ms / ms : 0.0) << " }";
-        first_threads = false;
+          if (digests != serial_digests) {
+            throw std::runtime_error("parallel sweep digests diverged at " +
+                                     std::to_string(threads) + " threads");
+          }
+        }
+        telemetry_elapsed_ms += elapsed_ms(verify_t0);
+        executor.set_telemetry(sim::SweepTelemetry{});
+
+        // Timed: repair alone, whole passes back to back for at least 1 s.
+        const auto repair = [&](std::size_t unit, sim::WorkerContext& ctx) {
+          (void)ctx.routes.tables(g, scenarios[unit]);
+        };
+        const auto timed_t0 = Clock::now();
+        std::size_t passes = 0;
+        double ms = 0.0;
+        while (ms < kMinThreadPointMs) {
+          executor.run(scenarios.size(), repair);
+          ++passes;
+          ms = elapsed_ms(timed_t0);
+        }
+        ms /= static_cast<double>(passes);
+        if (threads == 1) one_thread_ms = ms;
+        json << (threads == 1 ? "" : ",") << "\n        { \"threads\": " << threads
+             << ", \"ms\": " << ms << ", \"speedup\": " << one_thread_ms / ms
+             << " }";
       }
       json << "\n      ]";
       threads_wall_ms = elapsed_ms(threads_t0);
-      telemetry_elapsed_ms += threads_wall_ms;
     }
 
     // Batch-width amortisation: a fresh cache pays the pristine build plus

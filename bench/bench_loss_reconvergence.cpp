@@ -15,7 +15,6 @@
 #include "net/event_sim.hpp"
 #include "route/igp.hpp"
 #include "route/reconvergence.hpp"
-#include "route/scenario_cache.hpp"
 #include "topo/topologies.hpp"
 
 int main() {
@@ -61,11 +60,7 @@ int main() {
             << " pps, horizon " << kEnd << " s\n";
 
   net::Network reconv_net(g);
-  // The convergence-time table swap borrows delta-repaired tables from the
-  // cache (only the trees using the failed link are recomputed) instead of
-  // building a fresh RoutingDb at the convergence instant.
-  route::ScenarioRoutingCache routing_cache;
-  route::TimedReconvergence reconv_proto(reconv_net, suite.routes(), &routing_cache);
+  route::TimedReconvergence reconv_proto(reconv_net, suite.routes());
   Tally reconv_tally;
   {
     net::Simulator sim;

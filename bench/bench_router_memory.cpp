@@ -72,14 +72,14 @@ int main() {
               << "\n";
   }
 
-  // Control-plane comparison point: the event-sim's distributed IGP.  Each
-  // router used to own a full RoutingDb copy (16 B * n^2 each, n of them);
-  // the copy-on-write design keeps one shared pristine db plus sparse
-  // per-router overlay rows, measured here after a converged link failure.
+  // Control-plane comparison point: the event-sim's distributed IGP.  Giving
+  // each router a full RoutingDb copy would cost 16 B * n^2 per router; the
+  // IGP keeps one shared repair cache plus each router's FIB row (one next
+  // hop per destination), measured here after a converged link failure.
   std::cout << "\nEvent-sim IGP state after one link failure converges "
-               "(copy-on-write overlays vs per-router table copies):\n";
+               "(shared cache + per-router FIB rows vs per-router table copies):\n";
   std::cout << std::left << std::setw(12) << "topology" << std::setw(10) << "routers"
-            << std::setw(16) << "cow-bytes" << std::setw(20) << "naive-copy-bytes"
+            << std::setw(16) << "igp-bytes" << std::setw(20) << "naive-copy-bytes"
             << "reduction\n";
   graph::Rng isp_rng(0xC0F);
   const std::pair<const char*, graph::Graph> igp_topologies[] = {
@@ -96,11 +96,12 @@ int main() {
     });
     sim.run();
     const std::size_t n = g.node_count();
-    const std::size_t cow = igp.table_bytes();
+    const std::size_t igp_bytes = igp.table_bytes();
     const std::size_t naive = n * (n * n * 16);  // next+dist+hops columns each
     std::cout << std::left << std::setw(12) << name << std::setw(10) << n
-              << std::setw(16) << cow << std::setw(20) << naive << std::fixed
-              << std::setprecision(1) << static_cast<double>(naive) / cow << "x\n";
+              << std::setw(16) << igp_bytes << std::setw(20) << naive << std::fixed
+              << std::setprecision(1) << static_cast<double>(naive) / igp_bytes
+              << "x\n";
   }
   return 0;
 }

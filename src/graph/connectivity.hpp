@@ -1,12 +1,19 @@
 // Connectivity analysis: components, bridges, articulation points,
 // 2-edge-connectivity.
 //
-// Packet Re-cycling's single-failure guarantee (Section 4.2 of the paper)
-// requires a 2-edge-connected network; under failure combinations the tests
-// confirm delivery between connected endpoints on genus-0 embeddings only
-// (see core/pr_protocol.hpp).  The experiment harness therefore needs fast
-// residual-connectivity checks to filter sampled failure scenarios, and
-// topology constructors assert 2-edge-connectivity up front.
+// Packet Re-cycling can survive every single link failure only in a
+// 2-edge-connected network (Section 4.2 of the paper): a bridge's failure
+// disconnects its endpoints.  That is necessary, not sufficient.  When a
+// self-paired link fails (both its darts on one face, see embed/faces.hpp),
+// PR can drop traffic whose destination is still reachable: ROADMAP.md's
+// radius item found the kAuto embeddings of ISP-128/256/512/1024 doing so
+// when one of their 1/1/8/32 self-paired links fails, and its face-dual item
+// proposes a rule for which failure sets lose traffic.  Under failure
+// combinations the tests confirm delivery between connected endpoints on
+// genus-0 embeddings only (see core/pr_protocol.hpp).  The experiment
+// harness therefore needs fast residual-connectivity checks to filter
+// sampled failure scenarios, and topology constructors assert
+// 2-edge-connectivity up front.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 #include "graph/dijkstra.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
 
 #include "graph/spf_workspace.hpp"
 
@@ -23,49 +23,6 @@ ShortestPathTree shortest_paths_to(const Graph& g, NodeId destination,
   workspace.full_build(g, destination, excluded, spt.dist.data(), spt.hops.data(),
                        spt.next_dart.data());
   return spt;
-}
-
-std::vector<NodeId> extract_path(const Graph& g, const ShortestPathTree& spt,
-                                 NodeId source) {
-  std::vector<NodeId> nodes;
-  if (!spt.reachable(source)) return nodes;
-  NodeId v = source;
-  nodes.push_back(v);
-  while (v != spt.destination) {
-    const DartId d = spt.next_dart[v];
-    if (d == kInvalidDart) {
-      throw std::logic_error("extract_path: broken shortest-path tree");
-    }
-    v = g.dart_head(d);
-    nodes.push_back(v);
-    if (nodes.size() > g.node_count()) {
-      throw std::logic_error("extract_path: cycle in shortest-path tree");
-    }
-  }
-  return nodes;
-}
-
-Weight path_cost(const Graph& g, const std::vector<NodeId>& nodes) {
-  Weight sum = 0;
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    const auto e = g.find_edge(nodes[i], nodes[i + 1]);
-    if (!e.has_value()) {
-      throw std::invalid_argument("path_cost: consecutive nodes not adjacent");
-    }
-    sum += g.edge_weight(*e);
-  }
-  return sum;
-}
-
-Weight weighted_diameter(const Graph& g) {
-  Weight best = 0;
-  for (NodeId t = 0; t < g.node_count(); ++t) {
-    const auto spt = shortest_paths_to(g, t);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      if (spt.reachable(v)) best = std::max(best, spt.dist[v]);
-    }
-  }
-  return best;
 }
 
 std::uint32_t hop_diameter(const Graph& g) {

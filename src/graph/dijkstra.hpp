@@ -40,19 +40,6 @@ struct ShortestPathTree {
 [[nodiscard]] ShortestPathTree shortest_paths_to(const Graph& g, NodeId destination,
                                                  const EdgeSet* excluded = nullptr);
 
-/// Follows `next_dart` from `source`; returns the node sequence
-/// source, ..., destination (empty if unreachable; single element if source ==
-/// destination).
-[[nodiscard]] std::vector<NodeId> extract_path(const Graph& g, const ShortestPathTree& spt,
-                                               NodeId source);
-
-/// Weighted cost of the path `nodes` (consecutive nodes must be adjacent;
-/// throws otherwise).  Used to price the routes packets actually travelled.
-[[nodiscard]] Weight path_cost(const Graph& g, const std::vector<NodeId>& nodes);
-
-/// Weighted graph diameter (max finite shortest-path cost over all pairs).
-[[nodiscard]] Weight weighted_diameter(const Graph& g);
-
 /// Hop-count diameter: max hops of any shortest path, with unit-cost search.
 [[nodiscard]] std::uint32_t hop_diameter(const Graph& g);
 

@@ -35,8 +35,11 @@ namespace pr::graph {
 [[nodiscard]] Graph waxman(std::size_t n, double alpha, double beta, Rng& rng);
 
 /// Random 2-edge-connected graph: a Hamiltonian ring plus `extra_edges`
-/// distinct random chords.  This is the workhorse of the PR property suites,
-/// since the paper's single-failure guarantee assumes 2-edge-connectivity.
+/// distinct random chords.  This is the workhorse of the PR property suites:
+/// PR needs 2-edge-connectivity to survive every single failure, though that
+/// is not sufficient -- an embedding with a self-paired link can still drop
+/// reachable traffic (see graph/connectivity.hpp and ROADMAP.md's radius and
+/// face-dual items).
 [[nodiscard]] Graph random_two_edge_connected(std::size_t n, std::size_t extra_edges,
                                               Rng& rng);
 

@@ -16,11 +16,8 @@ class LinkStateIgp::Forwarding final : public net::ForwardingProtocol {
                                                 graph::DartId /*arrived_over*/,
                                                 net::Packet& packet) override {
     if (at == packet.destination) return net::ForwardingDecision::deliver();
-    // COW lookup: this router's overlay diff when it has one for the
-    // destination, else the db's pristine snapshot.
-    const graph::DartId out = igp_->overlays_[at].next_dart_or(
-        packet.destination,
-        igp_->tables_->pristine_next_dart(at, packet.destination));
+    const graph::DartId out =
+        igp_->fib_[static_cast<std::size_t>(at) * igp_->node_count_ + packet.destination];
     if (out == graph::kInvalidDart) {
       return net::ForwardingDecision::drop(net::DropReason::kNoRoute);
     }
@@ -48,24 +45,25 @@ net::ForwardingProtocol& LinkStateIgp::protocol() noexcept { return *protocol_; 
 LinkStateIgp::LinkStateIgp(net::Simulator& sim, net::Network& network, Timings timings)
     : sim_(&sim), network_(&network), timings_(timings) {
   const auto& g = network.graph();
-  // The data plane resolves overlay misses against pristine_next_dart() from
-  // the very first packet; before the first rebuild that reads the live
-  // columns, which are still pristine.
   tables_ = &cache_.tables(g, graph::EdgeSet(g.edge_count()));
-  known_failures_.reserve(g.node_count());
-  overlays_.resize(g.node_count());
-  recompute_pending_.assign(g.node_count(), 0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
+  node_count_ = g.node_count();
+  fib_.resize(node_count_ * node_count_);
+  known_failures_.reserve(node_count_);
+  recompute_pending_.assign(node_count_, 0);
+  for (NodeId v = 0; v < node_count_; ++v) {
     known_failures_.emplace_back(g.edge_count());
-    overlays_[v].reset(g.node_count());
+    install_row(*tables_, v);
   }
   protocol_ = std::make_unique<Forwarding>(*this);
 }
 
 std::size_t LinkStateIgp::table_bytes() const noexcept {
-  std::size_t total = tables_->bytes();
-  for (const auto& overlay : overlays_) total += overlay.bytes();
-  return total;
+  return tables_->bytes() + fib_.capacity() * sizeof(graph::DartId);
+}
+
+void LinkStateIgp::install_row(const RoutingDb& tables, NodeId v) {
+  graph::DartId* row = fib_.data() + static_cast<std::size_t>(v) * node_count_;
+  for (NodeId t = 0; t < node_count_; ++t) row[t] = tables.next_dart(v, t);
 }
 
 void LinkStateIgp::on_link_failure(EdgeId e) {
@@ -106,13 +104,13 @@ void LinkStateIgp::schedule_recompute(NodeId v) {
     recompute_pending_[v] = 0;
     // Delta-repair the cache's db to this router's knowledge (a cache hit
     // when the previous recompute already left it there -- common once
-    // flooding has equalised the link-state databases), then snapshot the
-    // router's sparse row diff.  No per-router n^2 columns anywhere.
+    // flooding has equalised the link-state databases), then install the
+    // router's row.  A new db means the graph changed under the FIB.
     const RoutingDb& tables = cache_.tables(network_->graph(), known_failures_[v]);
     if (&tables != tables_) {
       throw std::logic_error("LinkStateIgp: graph was mutated since construction");
     }
-    overlays_[v].assign_row(tables, v);
+    install_row(tables, v);
     ++spf_runs_;
     last_update_ = sim_->now();
   });

@@ -23,7 +23,6 @@
 
 #include "net/event_sim.hpp"
 #include "net/forwarding.hpp"
-#include "route/overlay.hpp"
 #include "route/routing_db.hpp"
 #include "route/scenario_cache.hpp"
 
@@ -38,8 +37,9 @@ class LinkStateIgp {
   };
 
   /// `sim` and `network` must outlive the IGP, and the network's graph must
-  /// not be mutated while it lives.  All routers start with tables computed
-  /// on the pristine topology.
+  /// not be mutated while it lives (the FIB is sized at construction; a
+  /// recompute after a mutation throws std::logic_error).  All routers start
+  /// with tables computed on the pristine topology.
   LinkStateIgp(net::Simulator& sim, net::Network& network, Timings timings);
   LinkStateIgp(net::Simulator& sim, net::Network& network);
 
@@ -72,9 +72,9 @@ class LinkStateIgp {
   [[nodiscard]] std::uint64_t spf_runs() const noexcept { return spf_runs_; }
 
   /// Total allocator footprint of the routing state: the cache's db (live
-  /// columns + pristine snapshot + rebuild indices) plus every router's COW
-  /// overlay.  The number bench_router_memory compares against the O(n^3)
-  /// per-router-copies design this replaced.
+  /// columns + pristine snapshot + rebuild indices) plus the n x n FIB.  The
+  /// number bench_router_memory compares against giving every router a full
+  /// RoutingDb copy (O(n^3)).
   [[nodiscard]] std::size_t table_bytes() const noexcept;
 
  private:
@@ -84,26 +84,30 @@ class LinkStateIgp {
   void learn(graph::NodeId v, graph::EdgeId e);
   void flood_from(graph::NodeId v, graph::EdgeId e);
   void schedule_recompute(graph::NodeId v);
+  /// Copies router `v`'s row out of `tables` into the FIB.
+  void install_row(const RoutingDb& tables, graph::NodeId v);
 
   net::Simulator* sim_;
   net::Network* network_;
   Timings timings_;
 
-  /// Per-router link-state database (known failed edges), and the COW
-  /// routing state: ONE cache whose db is delta-rebuilt to a recomputing
-  /// router's known-failure set (memoised by the cache, so routers converging
-  /// on the same knowledge share one repair), from which each router keeps
-  /// only its sparse row overlay -- O(n^2) + damage across the network
-  /// instead of the former n full RoutingDb copies (O(n^3)).  The data plane
-  /// resolves lookups overlay-first against the db's pristine snapshot, so
-  /// forwarding is bit-identical to the per-router-copies design.  One cache
-  /// serves every router because the event simulator is single-threaded.
+  /// Per-router link-state database (known failed edges), and the routing
+  /// state: ONE cache whose db is delta-rebuilt to a recomputing router's
+  /// known-failure set (memoised by the cache, so routers converging on the
+  /// same knowledge share one repair), out of which the router copies its own
+  /// row into the FIB.  A router's data plane reads only its row, so this
+  /// forwards exactly like n full RoutingDb copies at O(n^2) instead of
+  /// O(n^3) bytes.  One cache serves every router because the event
+  /// simulator is single-threaded.
   std::vector<graph::EdgeSet> known_failures_;
   ScenarioRoutingCache cache_;
   /// The cache's db: the same object on every call, since the graph and the
   /// discriminator kind never change.
   const RoutingDb* tables_ = nullptr;
-  std::vector<RouterTableOverlay> overlays_;
+  std::size_t node_count_ = 0;
+  /// Router-major FIB: fib_[v * node_count_ + t] is router v's next dart
+  /// toward t, as of v's last recompute.
+  std::vector<graph::DartId> fib_;
   std::vector<std::uint8_t> recompute_pending_;
   std::size_t injected_failures_ = 0;
 

@@ -1,22 +1,6 @@
 #include "route/reconvergence.hpp"
 
-#include "route/scenario_cache.hpp"
-
 namespace pr::route {
-
-namespace {
-
-net::ForwardingDecision forward_with(const RoutingDb& routes, const net::Network& net,
-                                     NodeId at, net::Packet& packet) {
-  if (at == packet.destination) return net::ForwardingDecision::deliver();
-  const DartId out = routes.next_dart(at, packet.destination);
-  if (out == graph::kInvalidDart || !net.dart_usable(out)) {
-    return net::ForwardingDecision::drop(net::DropReason::kNoRoute);
-  }
-  return net::ForwardingDecision::forward(out);
-}
-
-}  // namespace
 
 ReconvergedRouting::ReconvergedRouting(const net::Network& net, DiscriminatorKind kind)
     : owned_(std::make_unique<RoutingDb>(net.graph(), &net.failed_links(), kind)),
@@ -29,28 +13,25 @@ ReconvergedRouting::ReconvergedRouting(const net::Network& /*net*/,
 net::ForwardingDecision ReconvergedRouting::forward(const net::Network& net, NodeId at,
                                                     DartId /*arrived_over*/,
                                                     net::Packet& packet) {
-  return forward_with(*routes_, net, at, packet);
+  if (at == packet.destination) return net::ForwardingDecision::deliver();
+  const DartId out = routes_->next_dart(at, packet.destination);
+  if (out == graph::kInvalidDart || !net.dart_usable(out)) {
+    return net::ForwardingDecision::drop(net::DropReason::kNoRoute);
+  }
+  return net::ForwardingDecision::forward(out);
 }
 
-TimedReconvergence::TimedReconvergence(const net::Network& net, const RoutingDb& before,
-                                       ScenarioRoutingCache* cache)
-    : net_(&net), before_(&before), cache_(cache) {}
+TimedReconvergence::TimedReconvergence(const net::Network& net, const RoutingDb& before)
+    : net_(&net), before_(&before) {}
 
 void TimedReconvergence::complete_convergence() {
-  if (cache_ != nullptr) {
-    after_ = &cache_->tables(net_->graph(), net_->failed_links(),
-                             before_->discriminator_kind());
-    return;
-  }
-  owned_after_ = std::make_unique<RoutingDb>(net_->graph(), &net_->failed_links(),
-                                             before_->discriminator_kind());
-  after_ = owned_after_.get();
+  after_.emplace(*net_, before_->discriminator_kind());
 }
 
 net::ForwardingDecision TimedReconvergence::forward(const net::Network& net, NodeId at,
-                                                    DartId /*arrived_over*/,
+                                                    DartId arrived_over,
                                                     net::Packet& packet) {
-  if (after_ != nullptr) return forward_with(*after_, net, at, packet);
+  if (after_) return after_->forward(net, at, arrived_over, packet);
   if (at == packet.destination) return net::ForwardingDecision::deliver();
   const DartId out = before_->next_dart(at, packet.destination);
   if (out == graph::kInvalidDart) {

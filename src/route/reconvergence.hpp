@@ -13,13 +13,12 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "net/forwarding.hpp"
 #include "route/routing_db.hpp"
 
 namespace pr::route {
-
-class ScenarioRoutingCache;
 
 class ReconvergedRouting final : public net::ForwardingProtocol {
  public:
@@ -52,19 +51,16 @@ class ReconvergedRouting final : public net::ForwardingProtocol {
 
 class TimedReconvergence final : public net::ForwardingProtocol {
  public:
-  /// `before` are the pristine tables; reconverged tables are computed from
-  /// the network's failure set when convergence completes.  When `cache` is
-  /// given, the reconverged tables are borrowed from it (delta-repaired)
-  /// instead of built from scratch; the cache must outlive this instance and
-  /// must not serve a different failure set while this one is forwarding.
-  TimedReconvergence(const net::Network& net, const RoutingDb& before,
-                     ScenarioRoutingCache* cache = nullptr);
+  /// `before` are the pristine tables; `net` and `before` must outlive this
+  /// instance.
+  TimedReconvergence(const net::Network& net, const RoutingDb& before);
 
-  /// Switches every router to the reconverged tables (the bench schedules
-  /// this at failure time + detection + SPF computation + FIB update).
+  /// Switches every router to a ReconvergedRouting over the network's
+  /// failure set of this moment (the bench schedules this at failure time +
+  /// detection + SPF computation + FIB update).
   void complete_convergence();
 
-  [[nodiscard]] bool converged() const noexcept { return after_ != nullptr; }
+  [[nodiscard]] bool converged() const noexcept { return after_.has_value(); }
 
   [[nodiscard]] net::ForwardingDecision forward(const net::Network& net, NodeId at,
                                                 DartId arrived_over,
@@ -77,9 +73,7 @@ class TimedReconvergence final : public net::ForwardingProtocol {
  private:
   const net::Network* net_;
   const RoutingDb* before_;
-  ScenarioRoutingCache* cache_;
-  std::unique_ptr<RoutingDb> owned_after_;  ///< null when borrowing from cache
-  const RoutingDb* after_ = nullptr;
+  std::optional<ReconvergedRouting> after_;
 };
 
 }  // namespace pr::route

@@ -49,7 +49,7 @@ void RoutingDb::ensure_incremental_state() {
   // index pass entirely.  rebuild() is the only table mutator and dirty
   // columns are tracked from here on, so the columns are still pristine when
   // this snapshot is taken.
-  pristine_next_dart_ = next_dart_;
+  pristine_next_ = next_dart_;
   pristine_dist_ = dist_;
   pristine_hops_ = hops_;
   build_edge_dest_index();
@@ -64,7 +64,7 @@ void RoutingDb::build_edge_dest_index() {
   // A tree uses each edge at most once (two nodes pointing over the same edge
   // would form a 2-cycle), so the payload needs no dedup: count, prefix-sum,
   // fill.
-  for (const DartId d : pristine_next_dart_) {
+  for (const DartId d : pristine_next_) {
     if (d != graph::kInvalidDart) ++edge_dest_offsets_[graph::dart_edge(d) + 1];
   }
   for (std::size_t e = 0; e < edges; ++e) {
@@ -76,7 +76,7 @@ void RoutingDb::build_edge_dest_index() {
   for (NodeId dest = 0; dest < node_count_; ++dest) {
     const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
     for (NodeId at = 0; at < node_count_; ++at) {
-      const DartId d = pristine_next_dart_[base + at];
+      const DartId d = pristine_next_[base + at];
       if (d != graph::kInvalidDart) {
         edge_dest_ids_[cursor[graph::dart_edge(d)]++] = dest;
       }
@@ -97,7 +97,7 @@ void RoutingDb::build_children_index() {
     // dart), then prefix into absolute offsets continuing from the previous
     // destination's slice.
     for (NodeId v = 0; v < n; ++v) {
-      const DartId d = pristine_next_dart_[base + v];
+      const DartId d = pristine_next_[base + v];
       if (d != graph::kInvalidDart) ++off[graph_->dart_head(d) + 1];
     }
     off[0] = running;
@@ -105,7 +105,7 @@ void RoutingDb::build_children_index() {
     running = off[n];
     std::copy_n(off, n, cursor.data());
     for (NodeId v = 0; v < n; ++v) {
-      const DartId d = pristine_next_dart_[base + v];
+      const DartId d = pristine_next_[base + v];
       if (d != graph::kInvalidDart) child_ids_[cursor[graph_->dart_head(d)]++] = v;
     }
   }
@@ -124,13 +124,12 @@ void RoutingDb::restore_dirty_columns() {
     if (sparse) {
       for (std::size_t i = changed_offsets_[c]; i < changed_offsets_[c + 1]; ++i) {
         const std::size_t flat = base + changed_nodes_[i];
-        next_dart_[flat] = pristine_next_dart_[flat];
+        next_dart_[flat] = pristine_next_[flat];
         dist_[flat] = pristine_dist_[flat];
         hops_[flat] = pristine_hops_[flat];
       }
     } else {
-      std::copy_n(pristine_next_dart_.data() + base, node_count_,
-                  next_dart_.data() + base);
+      std::copy_n(pristine_next_.data() + base, node_count_, next_dart_.data() + base);
       std::copy_n(pristine_dist_.data() + base, node_count_, dist_.data() + base);
       std::copy_n(pristine_hops_.data() + base, node_count_, hops_.data() + base);
     }
@@ -228,7 +227,7 @@ std::size_t RoutingDb::memory_bytes_per_router() const noexcept {
 
 std::size_t RoutingDb::bytes() const noexcept {
   return sizeof(*this) + cap_bytes(next_dart_) + cap_bytes(dist_) +
-         cap_bytes(hops_) + cap_bytes(pristine_next_dart_) +
+         cap_bytes(hops_) + cap_bytes(pristine_next_) +
          cap_bytes(pristine_dist_) + cap_bytes(pristine_hops_) +
          cap_bytes(edge_dest_offsets_) + cap_bytes(edge_dest_ids_) +
          cap_bytes(child_offsets_) + cap_bytes(child_ids_) +

@@ -70,22 +70,6 @@ class RoutingDb {
   void rebuild(const graph::EdgeSet& excluded, graph::SpfWorkspace& workspace,
                RepairDrive drive = RepairDrive::kBatchedTrees);
 
-  /// Destinations whose columns currently differ from the pristine tables
-  /// (empty when never rebuilt or after an empty-set rebuild).  Its one
-  /// consumer is the sparse per-router overlay (route::RouterTableOverlay).
-  [[nodiscard]] std::span<const NodeId> dirty_destinations() const noexcept {
-    return dirty_dests_;
-  }
-
-  /// The PRISTINE (no-failure) first dart of `at`'s path toward `dest`,
-  /// regardless of what scenario the live tables currently reflect.  Before
-  /// the first rebuild the live tables are the pristine tables, so this is
-  /// total on any db built without a baseline exclusion set.
-  [[nodiscard]] DartId pristine_next_dart(NodeId at, NodeId dest) const noexcept {
-    return incremental_ready_ ? pristine_next_dart_[flat_index(at, dest)]
-                              : next_dart_[flat_index(at, dest)];
-  }
-
   /// First dart of `at`'s shortest path toward `dest`; kInvalidDart when
   /// at == dest or dest is unreachable.
   [[nodiscard]] DartId next_dart(NodeId at, NodeId dest) const {
@@ -124,8 +108,8 @@ class RoutingDb {
 
   /// Total process-memory footprint of this db: live columns plus (when
   /// materialised) the pristine snapshot and the rebuild indices.  Counts
-  /// vector capacities, so it is what the allocator actually holds.  This is
-  /// the number the COW-overlay benches compare against per-router copies.
+  /// vector capacities, so it is what the allocator actually holds
+  /// (bench_backbone's table_mb, LinkStateIgp::table_bytes()).
   [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
@@ -174,7 +158,7 @@ class RoutingDb {
   bool baseline_excluded_ = false;
   bool incremental_ready_ = false;
   std::uint64_t graph_structure_id_ = 0;  ///< guards rebuild against mutation
-  std::vector<DartId> pristine_next_dart_;
+  std::vector<DartId> pristine_next_;
   std::vector<Weight> pristine_dist_;
   std::vector<std::uint32_t> pristine_hops_;
   std::vector<std::uint32_t> edge_dest_offsets_;  ///< CSR offsets, edge-indexed

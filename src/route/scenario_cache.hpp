@@ -9,7 +9,8 @@
 // orphaned-subtree frontier, with results bit-identical to the from-scratch
 // build.  One cache lives per sweep worker (sim::WorkerContext), per serial
 // driver and per event-driven IGP (route::LinkStateIgp, which repairs to each
-// recomputing router's known failures), so no synchronisation is needed.
+// recomputing router's known failures and copies that router's row into its
+// FIB), so no synchronisation is needed.
 #pragma once
 
 #include <cstdint>

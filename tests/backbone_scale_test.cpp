@@ -1,7 +1,7 @@
 // Backbone-scale memory/tractability assertions: a 4k-router hierarchical
 // ISP must support a cached single-link sweep and an event-sim convergence
-// episode under hard memory ceilings -- the O(n^2)+damage regime the batched
-// repair drive and the COW overlays exist for.  Excluded from the TSan CI
+// episode under hard memory ceilings -- the O(n^2) regime the batched repair
+// drive and the IGP's shared cache + FIB exist for.  Excluded from the TSan CI
 // regex (single-threaded, and sized for the Release / ASan tiers).
 #include <cstdint>
 #include <vector>
@@ -91,9 +91,10 @@ TEST(BackboneScale, IgpConvergesWithCowOverlaysUnderMemoryCeiling) {
   ASSERT_TRUE(igp.fully_converged());
   EXPECT_GT(igp.spf_runs(), 0U);
 
-  // The whole point: n routers' worth of state in O(one shared db) + sparse
-  // overlays.  The naive design this replaced held n full (next, dist, hops)
-  // column sets -- 16 B * n^2 PER ROUTER.
+  // The whole point: n routers' worth of state in one shared db plus a 4 B
+  // FIB entry per (router, destination).  Giving every router its own
+  // RoutingDb would hold n full (next, dist, hops) column sets -- 16 B * n^2
+  // PER ROUTER.
   const std::size_t naive_copies = n * (n * n * 16);
   const std::size_t cow = igp.table_bytes();
   EXPECT_GT(cow, 0U);

@@ -3,9 +3,9 @@
 // drive and the from-scratch oracle across generators, partitioning failure
 // sets and scenario sequences; cached sweeps must be bit-identical at any
 // thread count; LFA alternates derived over repaired tables must equal a
-// fresh per-scenario derivation; and the IGP's copy-on-write overlays must
-// forward exactly like full per-router tables while costing a fraction of
-// their memory.
+// fresh per-scenario derivation; and the IGP's shared cache plus per-router
+// FIB rows must forward exactly like full per-router tables while costing a
+// fraction of their memory.
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -23,7 +23,6 @@
 #include "net/forwarding.hpp"
 #include "route/igp.hpp"
 #include "route/lfa.hpp"
-#include "route/overlay.hpp"
 #include "route/routing_db.hpp"
 #include "route/scenario_cache.hpp"
 #include "sim/parallel_sweep.hpp"
@@ -215,32 +214,6 @@ TEST(LfaIncremental, AlternatesOverRebuiltTablesMatchFreshDerivation) {
   }
 }
 
-TEST(CowOverlay, OverlayRowEqualsRebuiltRowForEveryDestination) {
-  graph::Rng rng(0xC0);
-  const Graph g = graph::random_two_edge_connected(16, 12, rng);
-  RoutingDb db(g);
-  graph::SpfWorkspace ws;
-  route::RouterTableOverlay overlay;
-  overlay.reset(g.node_count());
-
-  for (const auto& failures : net::sample_any_failures(g, 2, 10, rng)) {
-    db.rebuild(failures, ws);
-    for (const NodeId router : {NodeId{0}, NodeId{5}, NodeId{11}}) {
-      overlay.assign_row(db, router);
-      for (NodeId dest = 0; dest < g.node_count(); ++dest) {
-        ASSERT_EQ(overlay.next_dart_or(dest, db.pristine_next_dart(router, dest)),
-                  db.next_dart(router, dest))
-            << "router " << router << " dest " << dest;
-      }
-    }
-  }
-
-  // Back to pristine: the overlay collapses to zero entries.
-  db.rebuild(EdgeSet(g.edge_count()), ws);
-  overlay.assign_row(db, 0);
-  EXPECT_EQ(overlay.entries(), 0U);
-}
-
 struct IgpFixture {
   explicit IgpFixture(graph::Graph graph)
       : g(std::move(graph)), network(g), igp(sim, network) {}
@@ -280,8 +253,8 @@ TEST(CowOverlay, IgpForwardsLikeFullPerRouterTablesAfterConvergence) {
     }
   }
 
-  // The COW state must be a small multiple of ONE shared table set, far from
-  // the n full per-router copies it replaced.
+  // The cache db plus the n x n FIB must be a small multiple of ONE shared
+  // table set, far from n full per-router copies.
   const std::size_t one_db_live = n * n * 16;  // next(4) + dist(8) + hops(4)
   const std::size_t naive_copies = n * one_db_live;
   EXPECT_GT(fx.igp.table_bytes(), 0U);

@@ -91,38 +91,6 @@ TEST(Dijkstra, ParallelEdgesUseCheapest) {
   EXPECT_EQ(dart_edge(spt.next_dart[0]), cheap);
 }
 
-TEST(ExtractPath, EndToEnd) {
-  const Graph g = line_graph(4);
-  const auto spt = shortest_paths_to(g, 3);
-  const auto path = extract_path(g, spt, 0);
-  ASSERT_EQ(path.size(), 4U);
-  for (NodeId v = 0; v < 4; ++v) EXPECT_EQ(path[v], v);
-}
-
-TEST(ExtractPath, SourceEqualsDestination) {
-  const Graph g = ring(3);
-  const auto spt = shortest_paths_to(g, 1);
-  const auto path = extract_path(g, spt, 1);
-  ASSERT_EQ(path.size(), 1U);
-  EXPECT_EQ(path[0], 1U);
-}
-
-TEST(ExtractPath, UnreachableGivesEmpty) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  const auto spt = shortest_paths_to(g, 0);
-  EXPECT_TRUE(extract_path(g, spt, 2).empty());
-}
-
-TEST(PathCost, SumsWeights) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.5);
-  g.add_edge(1, 2, 2.0);
-  EXPECT_DOUBLE_EQ(path_cost(g, {0, 1, 2}), 3.5);
-  EXPECT_DOUBLE_EQ(path_cost(g, {0}), 0.0);
-  EXPECT_THROW((void)path_cost(g, {0, 2}), std::invalid_argument);
-}
-
 TEST(AllTrees, OneTreePerDestination) {
   const Graph g = ring(5);
   for (NodeId t = 0; t < 5; ++t) {
@@ -133,7 +101,6 @@ TEST(AllTrees, OneTreePerDestination) {
 }
 
 TEST(Diameter, RingAndGrid) {
-  EXPECT_DOUBLE_EQ(weighted_diameter(ring(6)), 3.0);
   EXPECT_EQ(hop_diameter(ring(6)), 3U);
   EXPECT_EQ(hop_diameter(grid(3, 3)), 4U);
 }
@@ -142,7 +109,6 @@ TEST(Diameter, HopDiameterIgnoresWeights) {
   Graph g = ring(6);
   for (EdgeId e = 0; e < g.edge_count(); ++e) g.set_edge_weight(e, 10.0);
   EXPECT_EQ(hop_diameter(g), 3U);
-  EXPECT_DOUBLE_EQ(weighted_diameter(g), 30.0);
 }
 
 }  // namespace

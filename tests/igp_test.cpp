@@ -1,6 +1,8 @@
 // Tests for the event-driven link-state IGP convergence model.
 #include "route/igp.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/pr_protocol.hpp"
@@ -255,6 +257,16 @@ TEST(LinkStateIgpTest, EveryRouterForwardsOnItsOwnTablesMidConvergence) {
   }
   EXPECT_TRUE(mixed_step) << "no step caught the second failure mid-convergence";
   EXPECT_TRUE(fx.igp.fully_converged());
+}
+
+TEST(LinkStateIgpTest, MutatedGraphThrowsOnRecompute) {
+  // The FIB is sized for the graph the IGP was built on; a recompute after
+  // the graph changed must fail loudly instead of installing rows from
+  // tables of a different graph.
+  IgpFixture fx(topo::geant());
+  fx.g.set_edge_weight(3, 2.0);  // bumps structure_id()
+  fx.sim.at(0.0, [&] { fx.fail(0); });
+  EXPECT_THROW(fx.sim.run(), std::logic_error);
 }
 
 TEST(LinkStateIgpTest, PartitionedRoutersCannotConverge) {
