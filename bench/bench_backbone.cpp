@@ -13,8 +13,10 @@
 //   2. threads: the same scenario set through SweepExecutor worker pools of
 //      1/2/4/8 threads, each worker repairing on its own warm
 //      ScenarioRoutingCache, digests checked identical across pool sizes on
-//      1 + R untimed passes; timed passes then run repair alone until at
-//      least 1 s has passed ("speedup" is against the 1-thread point);
+//      1 + R untimed passes, which look each scenario up a second time and
+//      require the cache's memo to serve it; timed passes then run repair
+//      alone until at least 1 s has passed ("speedup" is against the
+//      1-thread point);
 //   3. batch width: scenarios amortised per fresh cache (widths 1/4/16/64),
 //      pricing the pristine build + incremental-state preparation against
 //      the steady-state repair cost it unlocks.
@@ -43,7 +45,8 @@
 // blow-up is attributable to a scale and phase, not just the process total.
 // The telemetry section aggregates obs counters from the thread-curve
 // executors' untimed passes (cache hit rate, SPF repair fraction, per-worker
-// utilization over those passes' wall time).
+// utilization over those passes' wall time); the memo's second lookups are
+// about half of its cache lookups and nearly all of its hits.
 //
 // Repair-drive timings are the best of R repetitions.  A thread point's "ms"
 // is the mean pass over the scenario set, from whole passes run back to back
@@ -306,7 +309,17 @@ int main(int argc, char** argv) {
         executor.set_telemetry(sim::SweepTelemetry{&registry, nullptr, nullptr});
         std::vector<std::uint64_t> digests(scenarios.size(), 0);
         const auto sweep = [&](std::size_t unit, sim::WorkerContext& ctx) {
-          digests[unit] = table_digest(ctx.routes.tables(g, scenarios[unit]));
+          const route::RoutingDb& db = ctx.routes.tables(g, scenarios[unit]);
+          digests[unit] = table_digest(db);
+          // A driver prices one scenario under two reconverging protocols
+          // through this memo, so a second lookup must hit it: the telemetry's
+          // cache hits count these lookups, not scheduling accidents.
+          const std::uint64_t hits = ctx.routes.hits();
+          if (&ctx.routes.tables(g, scenarios[unit]) != &db ||
+              ctx.routes.hits() != hits + 1) {
+            throw std::logic_error("ScenarioRoutingCache did not reuse scenario " +
+                                   std::to_string(unit) + "'s tables");
+          }
         };
         const auto verify_t0 = Clock::now();
         for (std::size_t pass = 0; pass <= repetitions; ++pass) {

@@ -130,42 +130,13 @@ traffic::CapacityPlan size_plan(const graph::Graph& g,
 void require_identical(const analysis::StormExperimentResult& want,
                        const analysis::StormExperimentResult& got,
                        std::size_t threads) {
-  const auto fail = [threads](const std::string& what) {
-    throw std::runtime_error("storm sweep diverged at " + std::to_string(threads) +
-                             " threads: " + what);
-  };
-  if (got.calm_scenarios != want.calm_scenarios ||
-      got.disconnected_scenarios != want.disconnected_scenarios ||
-      !(got.failed_groups == want.failed_groups) ||
-      !(got.failed_edges == want.failed_edges)) {
-    fail("scenario-shape streams");
+  if (got == want) return;
+  std::string what = "sweep totals";
+  for (std::size_t i = 0; i < want.protocols.size() && i < got.protocols.size(); ++i) {
+    if (!(got.protocols[i] == want.protocols[i])) what = want.protocols[i].name;
   }
-  if (got.protocols.size() != want.protocols.size()) fail("protocol count");
-  for (std::size_t i = 0; i < want.protocols.size(); ++i) {
-    const analysis::StormProtocolResult& a = want.protocols[i];
-    const analysis::StormProtocolResult& b = got.protocols[i];
-    if (!(a.utilization == b.utilization) || !(a.stretch == b.stretch)) {
-      fail(a.name + " running summaries");
-    }
-    if (a.utilization_quantiles != b.utilization_quantiles ||
-        a.stretch_quantiles != b.stretch_quantiles) {
-      fail(a.name + " quantile estimates");
-    }
-    if (a.delivered_pps != b.delivered_pps || a.lost_pps != b.lost_pps ||
-        a.stranded_pps != b.stranded_pps || a.overloaded_links != b.overloaded_links ||
-        a.overloaded_scenarios != b.overloaded_scenarios ||
-        a.lossy_scenarios != b.lossy_scenarios ||
-        a.rerouted_flows != b.rerouted_flows) {
-      fail(a.name + " volume/counter totals");
-    }
-    if (a.worst.size() != b.worst.size()) fail(a.name + " top-K size");
-    for (std::size_t k = 0; k < a.worst.size(); ++k) {
-      if (a.worst[k].key != b.worst[k].key || a.worst[k].id != b.worst[k].id ||
-          a.worst[k].value.failed_groups != b.worst[k].value.failed_groups) {
-        fail(a.name + " top-K entry " + std::to_string(k));
-      }
-    }
-  }
+  throw std::runtime_error("storm sweep diverged at " + std::to_string(threads) +
+                           " threads: " + what);
 }
 
 double relative_error(double got, double want) {

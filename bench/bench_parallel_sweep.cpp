@@ -64,21 +64,9 @@ double best_ms(std::size_t repetitions, const std::function<std::size_t()>& work
 void require_identical(const analysis::StretchExperimentResult& serial,
                        const analysis::StretchExperimentResult& parallel,
                        std::size_t threads) {
-  const auto fail = [threads](const char* what) {
-    throw std::runtime_error("parallel sweep diverged from serial at " +
-                             std::to_string(threads) + " thread(s): " + what);
-  };
-  if (parallel.affected_pairs != serial.affected_pairs) fail("affected_pairs");
-  if (parallel.protocols.size() != serial.protocols.size()) fail("protocol count");
-  for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
-    const auto& s = serial.protocols[i];
-    const auto& p = parallel.protocols[i];
-    if (p.delivered != s.delivered || p.dropped_reachable != s.dropped_reachable ||
-        p.dropped_partitioned != s.dropped_partitioned) {
-      fail("delivery counts");
-    }
-    if (p.stretches != s.stretches) fail("stretch samples");  // bit-exact doubles
-  }
+  if (parallel == serial) return;
+  throw std::runtime_error("parallel sweep diverged from serial at " +
+                           std::to_string(threads) + " thread(s)");
 }
 
 }  // namespace

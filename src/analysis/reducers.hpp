@@ -22,7 +22,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace pr::analysis {
@@ -88,16 +87,15 @@ class P2QuantileSet {
  public:
   explicit P2QuantileSet(std::vector<double> quantiles);
 
-  /// Rebuild from restored estimators (checkpoint resume path).
-  explicit P2QuantileSet(std::vector<P2Quantile> estimators)
-      : estimators_(std::move(estimators)) {}
-
   void add(double x) {
     for (auto& e : estimators_) e.add(x);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return estimators_.size(); }
   [[nodiscard]] const P2Quantile& at(std::size_t i) const { return estimators_.at(i); }
+  /// Mutable access for the checkpoint resume path, which assigns each
+  /// estimator from its restored state.
+  [[nodiscard]] P2Quantile& at(std::size_t i) { return estimators_.at(i); }
   [[nodiscard]] std::vector<double> estimates() const;
 
  private:
@@ -117,6 +115,8 @@ class TopK {
     double key = 0.0;
     std::uint64_t id = 0;
     Payload value{};
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   explicit TopK(std::size_t k) : k_(k) {}

@@ -34,112 +34,32 @@ void validate_storm_inputs(const graph::Graph& g, const traffic::TrafficMatrix& 
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint schema for storm sweeps.
+// Checkpoint schema for storm sweeps: kind "storm-sweep", version 1.
 //
-// kind "storm-sweep" version 1: a config echo (seed, scenario target, top_k,
-// quantiles, protocol names) the reader validates against the live
-// experiment, the absolute scenario cursor, the scenario-shape reducers, and
-// per protocol the two summaries, volume sums, counters, P^2 marker states
-// and the top-K entry set (serialized via sorted(), whose order is
-// deterministic; re-adding the entries restores behaviourally identical
-// state because eviction and output are pure functions of the entry set).
+// walk_storm_state() is the schema: it visits every field in blob order,
+// naming each one's wire type, and seals a blob when it runs with a
+// StormSealer or restores one when it runs with a StormRestorer.  A visit
+// that names what it checks is an echo, which the restorer compares with the
+// live experiment; a count is bounded before it sizes anything.  In order:
+//   - echoes: kind, version (the only u32), seed, scenario target, top_k,
+//     quantile count and values, protocol count and names;
+//   - the scenario cursor; echoes of flows per scenario and offered volume;
+//   - failed-group and failed-edge summaries (count, sum, min, max), calm
+//     and disconnected scenario counts;
+//   - per protocol: utilization and stretch summaries; delivered, lost and
+//     stranded volume; overloaded links, overloaded and lossy scenarios,
+//     re-routed flows; the utilization and stretch P^2 sets (estimator
+//     count, then per estimator its quantile, count and 5 each of heights,
+//     positions, desired positions and increments); the top-K table (entry
+//     count, then per entry key, id, max utilization, max stretch, lost,
+//     stranded, failed-group count and ids, failed edges).
+// The top-K table is written in sorted() order, which is deterministic;
+// re-adding the entries restores behaviourally identical state because
+// eviction and output are pure functions of the entry set.  A new field is
+// one walk line; a layout change bumps the version.
 
 constexpr std::string_view kStormCheckpointKind = "storm-sweep";
 constexpr std::uint32_t kStormCheckpointVersion = 1;
-
-void put_summary(CheckpointWriter& w, const RunningSummary& s) {
-  w.u64(s.count);
-  w.f64(s.sum);
-  w.f64(s.min);
-  w.f64(s.max);
-}
-
-RunningSummary get_summary(CheckpointReader& r) {
-  RunningSummary s;
-  s.count = r.u64();
-  s.sum = r.f64();
-  s.min = r.f64();
-  s.max = r.f64();
-  return s;
-}
-
-void put_p2_set(CheckpointWriter& w, const P2QuantileSet& set) {
-  w.u64(set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    const P2State s = set.at(i).state();
-    w.f64(s.quantile);
-    w.u64(s.count);
-    for (const double h : s.heights) w.f64(h);
-    for (const double p : s.positions) w.f64(p);
-    for (const double d : s.desired) w.f64(d);
-    for (const double d : s.desired_delta) w.f64(d);
-  }
-}
-
-P2QuantileSet get_p2_set(CheckpointReader& r, const std::vector<double>& quantiles) {
-  const std::uint64_t n = r.u64();
-  if (n != quantiles.size()) {
-    throw CheckpointError("storm checkpoint: quantile estimator count mismatch");
-  }
-  std::vector<P2Quantile> estimators;
-  estimators.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    P2State s;
-    s.quantile = r.f64();
-    s.count = r.u64();
-    for (double& h : s.heights) h = r.f64();
-    for (double& p : s.positions) p = r.f64();
-    for (double& d : s.desired) d = r.f64();
-    for (double& d : s.desired_delta) d = r.f64();
-    if (s.quantile != quantiles[i]) {
-      throw CheckpointError("storm checkpoint: quantile value mismatch");
-    }
-    try {
-      estimators.push_back(P2Quantile::from_state(s));
-    } catch (const std::invalid_argument& e) {
-      throw CheckpointError(std::string("storm checkpoint: ") + e.what());
-    }
-  }
-  return P2QuantileSet(std::move(estimators));
-}
-
-void put_top_k(CheckpointWriter& w, const TopK<StormScenarioRecord>& top) {
-  const auto entries = top.sorted();
-  w.u64(entries.size());
-  for (const auto& e : entries) {
-    w.f64(e.key);
-    w.u64(e.id);
-    w.f64(e.value.max_utilization);
-    w.f64(e.value.max_stretch);
-    w.f64(e.value.lost_pps);
-    w.f64(e.value.stranded_pps);
-    w.u64(e.value.failed_groups.size());
-    for (const std::size_t gid : e.value.failed_groups) w.u64(gid);
-    w.u64(e.value.failed_edges);
-  }
-}
-
-TopK<StormScenarioRecord> get_top_k(CheckpointReader& r, std::size_t k) {
-  TopK<StormScenarioRecord> top(k);
-  const std::uint64_t n = r.u64();
-  if (n > k) {
-    throw CheckpointError("storm checkpoint: top-K holds more entries than its capacity");
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double key = r.f64();
-    const std::uint64_t id = r.u64();
-    StormScenarioRecord record;
-    record.max_utilization = r.f64();
-    record.max_stretch = r.f64();
-    record.lost_pps = r.f64();
-    record.stranded_pps = r.f64();
-    record.failed_groups.resize(r.u64());
-    for (std::size_t& gid : record.failed_groups) gid = r.u64();
-    record.failed_edges = r.u64();
-    top.add(key, id, record);
-  }
-  return top;
-}
 
 /// The mutable state of one storm sweep: everything a checkpoint must carry.
 struct StormState {
@@ -150,123 +70,155 @@ struct StormState {
   std::size_t completed = 0;  ///< absolute scenario cursor
 };
 
-/// Seals the reducer prefix [0, completed) as a blob.  `completed` is passed
-/// explicitly (not read from state) so the executor's auto-checkpoint hook
-/// can seal a mid-run watermark while state.completed still holds the resume
-/// offset -- the reducers themselves ARE the watermark prefix whenever this
-/// runs under the executor's reduce lock.
+/// Runs the walk to seal a blob: every visit appends its field.
+struct StormSealer {
+  static constexpr bool kRestoring = false;
+  void u32(std::uint32_t v, const char* /*echo*/) { w.u32(v); }
+  void u64(std::uint64_t v, const char* /*echo*/ = nullptr) { w.u64(v); }
+  void f64(double v, const char* /*echo*/ = nullptr) { w.f64(v); }
+  void str(std::string_view v, const char* /*echo*/) { w.str(v); }
+  void count(std::size_t n, std::size_t /*bound*/, const char* /*what*/) { w.u64(n); }
+  CheckpointWriter w;
+};
+
+/// Runs the walk to restore a blob: a field is read into the state, an echo
+/// must equal the live value it names and a count must not exceed its bound;
+/// anything else throws CheckpointError.
+struct StormRestorer {
+  static constexpr bool kRestoring = true;
+  template <typename Unsigned>
+  void u64(Unsigned& field) { field = static_cast<Unsigned>(r.u64()); }
+  void f64(double& field) { field = r.f64(); }
+  void u32(std::uint32_t live, const char* what) { echo(r.u32() == live, what); }
+  void u64(std::uint64_t live, const char* what) { echo(r.u64() == live, what); }
+  void f64(double live, const char* what) { echo(r.f64() == live, what); }
+  void str(std::string_view live, const char* what) { echo(r.str() == live, what); }
+  void count(std::size_t& n, std::size_t bound, const char* what) {
+    u64(n);
+    if (n > bound) fail(what, std::to_string(n) + " exceeds " + std::to_string(bound));
+  }
+  static void echo(bool matches, const char* what) {
+    if (!matches) fail(what, "mismatch");
+  }
+  [[noreturn]] static void fail(const char* what, const std::string& why) {
+    throw CheckpointError(std::string("storm checkpoint: ") + what + " " + why);
+  }
+  CheckpointReader r;
+};
+
+template <typename Io, typename Summary>
+void walk_summary(Io& io, Summary& s) {
+  io.u64(s.count);
+  io.f64(s.sum);
+  io.f64(s.min);
+  io.f64(s.max);
+}
+
+template <typename Io, typename Set>
+void walk_p2_set(Io& io, Set& set) {
+  io.u64(set.size(), "quantile estimator count");
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    P2State s = set.at(i).state();
+    io.f64(s.quantile, "estimator quantile");
+    io.u64(s.count);
+    for (double& x : s.heights) io.f64(x);
+    for (double& x : s.positions) io.f64(x);
+    for (double& x : s.desired) io.f64(x);
+    for (double& x : s.desired_delta) io.f64(x);
+    if constexpr (Io::kRestoring) set.at(i) = P2Quantile::from_state(s);
+  }
+}
+
+template <typename Io, typename Top>
+void walk_top_k(Io& io, Top& top, std::size_t group_count) {
+  auto entries = top.sorted();
+  std::size_t n = entries.size();
+  io.count(n, top.capacity(), "top-K entry count");
+  entries.resize(n);
+  for (auto& [key, id, record] : entries) {
+    io.f64(key);
+    io.u64(id);
+    io.f64(record.max_utilization);
+    io.f64(record.max_stretch);
+    io.f64(record.lost_pps);
+    io.f64(record.stranded_pps);
+    std::size_t groups = record.failed_groups.size();
+    io.count(groups, group_count, "failed-group count");
+    record.failed_groups.resize(groups);
+    for (std::size_t& gid : record.failed_groups) io.u64(gid);
+    io.u64(record.failed_edges);
+    if constexpr (Io::kRestoring) top.add(key, id, record);
+  }
+}
+
+/// Every field of the version-1 layout, in blob order.  `state` is const
+/// when sealing and mutable when restoring; Io::kRestoring guards the two
+/// steps that rebuild a reducer from the fields just read.  `cursor` is
+/// apart from `state` so the executor's auto-checkpoint hook can seal a
+/// mid-run watermark while state.completed still holds the resume offset.
+template <typename Io, typename State>
+void walk_storm_state(Io& io, State& state, std::size_t& cursor,
+                      const StormSweepConfig& config,
+                      const std::vector<NamedFactory>& protocols,
+                      std::size_t group_count) {
+  io.str(kStormCheckpointKind, "kind");
+  io.u32(kStormCheckpointVersion, "version");
+  io.u64(config.seed, "seed");
+  io.u64(config.scenarios, "scenario target");
+  io.u64(config.top_k, "top_k");
+  io.u64(config.quantiles.size(), "quantile count");
+  for (const double q : config.quantiles) io.f64(q, "quantile");
+  io.u64(protocols.size(), "protocol count");
+  for (const NamedFactory& p : protocols) io.str(p.name, "protocol name");
+  io.count(cursor, config.scenarios, "scenario cursor");
+  auto& result = state.result;
+  io.u64(result.flows_per_scenario, "flow count (different demand?)");
+  io.f64(result.offered_pps, "offered volume (different demand?)");
+  walk_summary(io, result.failed_groups);
+  walk_summary(io, result.failed_edges);
+  io.u64(result.calm_scenarios);
+  io.u64(result.disconnected_scenarios);
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    auto& p = result.protocols[i];
+    walk_summary(io, p.utilization);
+    walk_summary(io, p.stretch);
+    io.f64(p.delivered_pps);
+    io.f64(p.lost_pps);
+    io.f64(p.stranded_pps);
+    io.u64(p.overloaded_links);
+    io.u64(p.overloaded_scenarios);
+    io.u64(p.lossy_scenarios);
+    io.u64(p.rerouted_flows);
+    walk_p2_set(io, state.utilization_q[i]);
+    walk_p2_set(io, state.stretch_q[i]);
+    walk_top_k(io, state.worst[i], group_count);
+  }
+}
+
+/// Seals the reducer prefix [0, completed) as a blob.  Under the executor's
+/// reduce lock the reducers ARE the watermark prefix.
 std::string serialize_storm_state(const StormState& state, std::size_t completed,
                                   const StormSweepConfig& config,
                                   const std::vector<NamedFactory>& protocols,
-                                  bool inject_failure) {
-  CheckpointWriter w;
-  w.str(kStormCheckpointKind);
-  w.u32(kStormCheckpointVersion);
-  w.u64(config.seed);
-  w.u64(config.scenarios);
-  w.u64(config.top_k);
-  w.u64(config.quantiles.size());
-  for (const double q : config.quantiles) w.f64(q);
-  w.u64(protocols.size());
-  for (const auto& p : protocols) w.str(p.name);
-  w.u64(completed);
-  w.u64(state.result.flows_per_scenario);
-  w.f64(state.result.offered_pps);
-  put_summary(w, state.result.failed_groups);
-  put_summary(w, state.result.failed_edges);
-  w.u64(state.result.calm_scenarios);
-  w.u64(state.result.disconnected_scenarios);
-  if (inject_failure) {
-    throw CheckpointError("injected checkpoint failure (fault plan)");
-  }
-  for (std::size_t i = 0; i < protocols.size(); ++i) {
-    const StormProtocolResult& p = state.result.protocols[i];
-    put_summary(w, p.utilization);
-    put_summary(w, p.stretch);
-    w.f64(p.delivered_pps);
-    w.f64(p.lost_pps);
-    w.f64(p.stranded_pps);
-    w.u64(p.overloaded_links);
-    w.u64(p.overloaded_scenarios);
-    w.u64(p.lossy_scenarios);
-    w.u64(p.rerouted_flows);
-    put_p2_set(w, state.utilization_q[i]);
-    put_p2_set(w, state.stretch_q[i]);
-    put_top_k(w, state.worst[i]);
-  }
-  return w.finish();
+                                  std::size_t group_count, bool inject_failure) {
+  if (inject_failure) throw CheckpointError("injected checkpoint failure (fault plan)");
+  StormSealer io;
+  walk_storm_state(io, state, completed, config, protocols, group_count);
+  return io.w.finish();
 }
 
-/// Restores `state` from a blob, validating every config echo against the
-/// live experiment; throws CheckpointError on any mismatch.
+/// Restores `state`, which holds fresh reducers for the live experiment,
+/// from a blob; throws CheckpointError on any mismatch or corruption.
 void restore_storm_state(std::string_view blob, const StormSweepConfig& config,
                          const std::vector<NamedFactory>& protocols,
-                         StormState& state) {
-  CheckpointReader r(blob);
-  if (r.str() != kStormCheckpointKind) {
-    throw CheckpointError("storm checkpoint: wrong kind");
+                         std::size_t group_count, StormState& state) {
+  StormRestorer io{.r = CheckpointReader(blob)};
+  try {
+    walk_storm_state(io, state, state.completed, config, protocols, group_count);
+  } catch (const std::invalid_argument& e) {  // P2Quantile::from_state
+    throw CheckpointError(std::string("storm checkpoint: ") + e.what());
   }
-  if (r.u32() != kStormCheckpointVersion) {
-    throw CheckpointError("storm checkpoint: unsupported version");
-  }
-  if (r.u64() != config.seed) {
-    throw CheckpointError("storm checkpoint: seed mismatch");
-  }
-  if (r.u64() != config.scenarios) {
-    throw CheckpointError("storm checkpoint: scenario target mismatch");
-  }
-  if (r.u64() != config.top_k) {
-    throw CheckpointError("storm checkpoint: top_k mismatch");
-  }
-  const std::uint64_t quantile_count = r.u64();
-  if (quantile_count != config.quantiles.size()) {
-    throw CheckpointError("storm checkpoint: quantile count mismatch");
-  }
-  for (const double q : config.quantiles) {
-    if (r.f64() != q) throw CheckpointError("storm checkpoint: quantile mismatch");
-  }
-  const std::uint64_t protocol_count = r.u64();
-  if (protocol_count != protocols.size()) {
-    throw CheckpointError("storm checkpoint: protocol count mismatch");
-  }
-  for (const auto& p : protocols) {
-    if (r.str() != p.name) {
-      throw CheckpointError("storm checkpoint: protocol name mismatch");
-    }
-  }
-  const std::uint64_t completed = r.u64();
-  if (completed > config.scenarios) {
-    throw CheckpointError("storm checkpoint: cursor past the scenario target");
-  }
-  const std::uint64_t flows_per_scenario = r.u64();
-  if (flows_per_scenario != state.result.flows_per_scenario) {
-    throw CheckpointError("storm checkpoint: flow count mismatch (different demand?)");
-  }
-  const double offered = r.f64();
-  if (offered != state.result.offered_pps) {
-    throw CheckpointError("storm checkpoint: offered volume mismatch (different demand?)");
-  }
-  state.completed = static_cast<std::size_t>(completed);
-  state.result.failed_groups = get_summary(r);
-  state.result.failed_edges = get_summary(r);
-  state.result.calm_scenarios = r.u64();
-  state.result.disconnected_scenarios = r.u64();
-  for (std::size_t i = 0; i < protocols.size(); ++i) {
-    StormProtocolResult& p = state.result.protocols[i];
-    p.utilization = get_summary(r);
-    p.stretch = get_summary(r);
-    p.delivered_pps = r.f64();
-    p.lost_pps = r.f64();
-    p.stranded_pps = r.f64();
-    p.overloaded_links = r.u64();
-    p.overloaded_scenarios = r.u64();
-    p.lossy_scenarios = r.u64();
-    p.rerouted_flows = r.u64();
-    state.utilization_q[i] = get_p2_set(r, config.quantiles);
-    state.stretch_q[i] = get_p2_set(r, config.quantiles);
-    state.worst[i] = get_top_k(r, config.top_k);
-  }
-  if (!r.exhausted()) {
+  if (!io.r.exhausted()) {
     throw CheckpointError("storm checkpoint: trailing bytes (schema mismatch)");
   }
 }
@@ -345,9 +297,10 @@ StormRunResult run_storm_experiment_resilient(
   state.stretch_q.assign(protocols.size(), P2QuantileSet(config.quantiles));
   state.worst.assign(protocols.size(), TopK<StormScenarioRecord>(config.top_k));
 
+  const std::size_t group_count = model.catalog().group_count();
   StormRunResult run;
   if (!options.resume_from.empty()) {
-    restore_storm_state(options.resume_from, config, protocols, state);
+    restore_storm_state(options.resume_from, config, protocols, group_count, state);
     run.resumed = true;
   }
   const std::size_t offset = state.completed;
@@ -358,7 +311,6 @@ StormRunResult run_storm_experiment_resilient(
   const sim::RunControl& control =
       options.control != nullptr ? *options.control : uncontrolled;
   const sim::FaultPlan* faults = control.fault_plan();
-  const std::size_t group_count = model.catalog().group_count();
 
   // Flat-memory plumbing: a slot ring of the executor's reorder window, one
   // storm/component scratch per worker, and the streaming reducers.  Nothing
@@ -470,7 +422,7 @@ StormRunResult run_storm_experiment_resilient(
   if (options.persist_checkpoint) {
     auto_ckpt.cadence = options.checkpoint_cadence;
     auto_ckpt.serialize = [&](std::size_t k) {
-      return serialize_storm_state(state, offset + k, config, protocols,
+      return serialize_storm_state(state, offset + k, config, protocols, group_count,
                                    faults != nullptr && faults->fail_checkpoint());
     };
     auto_ckpt.persist = [&](std::size_t k, std::string&& blob) {
@@ -496,7 +448,7 @@ StormRunResult run_storm_experiment_resilient(
   // the blob is missing).
   try {
     run.checkpoint = serialize_storm_state(
-        state, state.completed, config, protocols,
+        state, state.completed, config, protocols, group_count,
         faults != nullptr && faults->fail_checkpoint());
   } catch (const CheckpointError& e) {
     run.checkpoint.clear();

@@ -66,6 +66,8 @@ struct StormScenarioRecord {
   double stranded_pps = 0.0;
   std::vector<std::size_t> failed_groups;  ///< ascending
   std::size_t failed_edges = 0;            ///< size of the group union
+
+  friend bool operator==(const StormScenarioRecord&, const StormScenarioRecord&) = default;
 };
 
 /// One protocol's streamed outcome over the whole storm.
@@ -103,6 +105,8 @@ struct StormProtocolResult {
     const double total = offered_pps * static_cast<double>(scenarios);
     return total == 0.0 ? 0.0 : delivered_pps / total;
   }
+
+  friend bool operator==(const StormProtocolResult&, const StormProtocolResult&) = default;
 };
 
 struct StormExperimentResult {
@@ -118,6 +122,9 @@ struct StormExperimentResult {
   RunningSummary failed_edges;
   std::size_t calm_scenarios = 0;
   std::size_t disconnected_scenarios = 0;
+
+  friend bool operator==(const StormExperimentResult&,
+                         const StormExperimentResult&) = default;
 };
 
 /// Samples config.scenarios scenarios from `model`, prices each against

@@ -113,12 +113,17 @@ struct ProtocolStretch {
 
   [[nodiscard]] double max_finite_stretch() const;
   [[nodiscard]] double mean_finite_stretch() const;
+
+  friend bool operator==(const ProtocolStretch&, const ProtocolStretch&) = default;
 };
 
 struct StretchExperimentResult {
   std::vector<ProtocolStretch> protocols;
   std::size_t scenarios = 0;
   std::size_t affected_pairs = 0;  ///< summed over scenarios
+
+  friend bool operator==(const StretchExperimentResult&,
+                         const StretchExperimentResult&) = default;
 };
 
 /// Runs every protocol over every failure scenario and every affected ordered

@@ -75,6 +75,8 @@ struct ProtocolTraffic {
   [[nodiscard]] traffic::CongestionSummary summary() const {
     return traffic::summarize(per_scenario);
   }
+
+  friend bool operator==(const ProtocolTraffic&, const ProtocolTraffic&) = default;
 };
 
 struct TrafficExperimentResult {
@@ -90,6 +92,11 @@ struct TrafficExperimentResult {
         static_cast<double>(scenarios) * static_cast<double>(flows_per_scenario);
     return total == 0.0 ? 0.0 : static_cast<double>(p.rerouted_flows) / total;
   }
+
+  /// Every field, mode and re-routed flow counts included: two runs of one
+  /// mode compare equal; a full re-route and an incremental run do not.
+  friend bool operator==(const TrafficExperimentResult&,
+                         const TrafficExperimentResult&) = default;
 };
 
 /// The sweep work-list every traffic and storm driver routes: one FlowSpec

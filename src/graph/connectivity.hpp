@@ -12,8 +12,10 @@
 // combinations the tests confirm delivery between connected endpoints on
 // genus-0 embeddings only (see core/pr_protocol.hpp).  The experiment
 // harness therefore needs fast residual-connectivity checks to filter
-// sampled failure scenarios, and topology constructors assert
-// 2-edge-connectivity up front.
+// sampled failure scenarios.  No topology constructor checks
+// 2-edge-connectivity at run time: the generators produce it by
+// construction, and their tests (generators_test, isp_generator_test,
+// synthetic_isp_test) check it with is_two_edge_connected().
 #pragma once
 
 #include <cstdint>

@@ -4,15 +4,18 @@
 // blob (possibly in a different executor, at a different thread count, over
 // several hops) must finish to reducer outputs BIT-IDENTICAL to an
 // uninterrupted run.  Also covers the checkpoint codec's rejection paths:
-// tampered, truncated and mismatched-config blobs all throw CheckpointError
-// instead of resuming into silently wrong state.
+// tampered, truncated, mismatched-config and out-of-bounds blobs all throw
+// CheckpointError instead of resuming into silently wrong state, and an
+// independent decoder pins the version-1 layout.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,51 +84,14 @@ struct ResumeFixture {
   }
 };
 
-/// Field-by-field bit-identity over every reducer output.
+/// Bit-identity over every result field; a diverging protocol is named.
 void expect_identical(const StormExperimentResult& want,
                       const StormExperimentResult& got) {
-  EXPECT_EQ(got.scenarios, want.scenarios);
-  EXPECT_EQ(got.flows_per_scenario, want.flows_per_scenario);
-  EXPECT_EQ(got.offered_pps, want.offered_pps);
-  EXPECT_EQ(got.calm_scenarios, want.calm_scenarios);
-  EXPECT_EQ(got.disconnected_scenarios, want.disconnected_scenarios);
-  EXPECT_TRUE(got.failed_groups == want.failed_groups);
-  EXPECT_TRUE(got.failed_edges == want.failed_edges);
   ASSERT_EQ(got.protocols.size(), want.protocols.size());
   for (std::size_t i = 0; i < want.protocols.size(); ++i) {
-    const auto& a = want.protocols[i];
-    const auto& b = got.protocols[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_TRUE(a.utilization == b.utilization) << a.name;
-    EXPECT_TRUE(a.stretch == b.stretch) << a.name;
-    EXPECT_EQ(a.quantiles, b.quantiles) << a.name;
-    EXPECT_EQ(a.utilization_quantiles, b.utilization_quantiles) << a.name;
-    EXPECT_EQ(a.stretch_quantiles, b.stretch_quantiles) << a.name;
-    EXPECT_EQ(a.delivered_pps, b.delivered_pps) << a.name;
-    EXPECT_EQ(a.lost_pps, b.lost_pps) << a.name;
-    EXPECT_EQ(a.stranded_pps, b.stranded_pps) << a.name;
-    EXPECT_EQ(a.overloaded_links, b.overloaded_links) << a.name;
-    EXPECT_EQ(a.overloaded_scenarios, b.overloaded_scenarios) << a.name;
-    EXPECT_EQ(a.lossy_scenarios, b.lossy_scenarios) << a.name;
-    EXPECT_EQ(a.rerouted_flows, b.rerouted_flows) << a.name;
-    ASSERT_EQ(a.worst.size(), b.worst.size()) << a.name;
-    for (std::size_t k = 0; k < a.worst.size(); ++k) {
-      EXPECT_EQ(a.worst[k].key, b.worst[k].key) << a.name;
-      EXPECT_EQ(a.worst[k].id, b.worst[k].id) << a.name;
-      EXPECT_EQ(a.worst[k].value.max_utilization,
-                b.worst[k].value.max_utilization)
-          << a.name;
-      EXPECT_EQ(a.worst[k].value.max_stretch, b.worst[k].value.max_stretch)
-          << a.name;
-      EXPECT_EQ(a.worst[k].value.lost_pps, b.worst[k].value.lost_pps) << a.name;
-      EXPECT_EQ(a.worst[k].value.stranded_pps, b.worst[k].value.stranded_pps)
-          << a.name;
-      EXPECT_EQ(a.worst[k].value.failed_groups, b.worst[k].value.failed_groups)
-          << a.name;
-      EXPECT_EQ(a.worst[k].value.failed_edges, b.worst[k].value.failed_edges)
-          << a.name;
-    }
+    EXPECT_TRUE(got.protocols[i] == want.protocols[i]) << want.protocols[i].name;
   }
+  EXPECT_TRUE(got == want);
 }
 
 /// Resumes `blob` to completion (no further interruption) and checks the
@@ -434,73 +400,207 @@ TEST(StormResume, CheckpointFailureKeepsInMemoryResult) {
   resume_and_verify(f, earlier, f.reference());
 }
 
-TEST(StormResume, RejectsCorruptAndMismatchedBlobs) {
-  ResumeFixture f;
-  std::string blob;
-  {
-    SweepExecutor executor(2);
-    RunControl control;
-    control.set_unit_budget(80);
-    StormRunOptions options;
-    options.control = &control;
-    blob = f.run(executor, options).checkpoint;
-    ASSERT_FALSE(blob.empty());
-  }
+/// Resuming `blob` into `fixture` must throw a CheckpointError naming `why`.
+void expect_rejected(ResumeFixture& fixture, std::string_view blob,
+                     const std::string& why) {
   SweepExecutor executor(2);
   RunControl control;
   StormRunOptions options;
   options.control = &control;
+  options.resume_from = blob;
+  try {
+    (void)fixture.run(executor, options);
+    ADD_FAILURE() << "resumed a blob that should fail with '" << why << "'";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
 
-  {  // flipped byte in the middle -> checksum failure
-    std::string tampered = blob;
-    tampered[tampered.size() / 2] ^= 0x40;
-    options.resume_from = tampered;
-    EXPECT_THROW((void)f.run(executor, options), CheckpointError);
+/// Writes `value` little-endian over `bytes` bytes of `blob` at `at`.
+void patch(std::string& blob, std::size_t at, std::uint64_t value,
+           std::size_t bytes = 8) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    blob[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
   }
-  {  // truncated blob
-    options.resume_from = std::string_view(blob).substr(0, blob.size() - 9);
-    EXPECT_THROW((void)f.run(executor, options), CheckpointError);
-  }
-  {  // not a checkpoint at all
-    options.resume_from = "definitely not a checkpoint";
-    EXPECT_THROW((void)f.run(executor, options), CheckpointError);
-  }
-  {  // wrong experiment: different seed
+}
+
+/// Re-seals an edited blob: its last 8 bytes become the checksum of the rest.
+std::string reseal(std::string blob) {
+  const std::size_t payload = blob.size() - 8;
+  patch(blob, payload,
+        analysis::checkpoint_digest(std::string_view(blob).substr(0, payload)));
+  return blob;
+}
+
+/// The fixture's sweep stopped by a budget after 80 of its 300 scenarios.
+StormRunResult interrupted(ResumeFixture& f) {
+  SweepExecutor executor(2);
+  RunControl control;
+  control.set_unit_budget(80);
+  StormRunOptions options;
+  options.control = &control;
+  StormRunResult partial = f.run(executor, options);
+  EXPECT_FALSE(partial.checkpoint.empty());
+  return partial;
+}
+
+TEST(StormResume, RejectsCorruptAndMismatchedBlobs) {
+  ResumeFixture f;
+  const std::string blob = interrupted(f).checkpoint;
+
+  std::string tampered = blob;
+  tampered[tampered.size() / 2] ^= 0x40;
+  expect_rejected(f, tampered, "checksum mismatch");
+  expect_rejected(f, std::string_view(blob).substr(0, blob.size() - 9), "checksum");
+  expect_rejected(f, "definitely not a checkpoint", "bad magic");
+  // Version 2 is not this build's layout: 8 magic bytes, then "storm-sweep"
+  // as a u64 length and 11 bytes, then the u32 version.
+  std::string next_version = blob;
+  patch(next_version, 8 + 8 + 11, 2, 4);
+  expect_rejected(f, reseal(next_version), "version");
+  // Eight bytes past the last field, under a valid checksum.
+  expect_rejected(f, reseal(blob + std::string(8, '\0')), "trailing bytes");
+
+  // Every config echo: a blob of another experiment must not resume here.
+  const auto rejected_by = [&blob](const std::string& why, const auto& change) {
     ResumeFixture other;
-    other.config.seed = 78;
-    SweepExecutor ex(2);
-    RunControl ctl;
-    StormRunOptions opt;
-    opt.control = &ctl;
-    opt.resume_from = blob;
-    EXPECT_THROW((void)other.run(ex, opt), CheckpointError);
-  }
-  {  // wrong experiment: different protocol list
-    ResumeFixture other;
-    other.protocols = {other.suite.spf()};
-    SweepExecutor ex(2);
-    RunControl ctl;
-    StormRunOptions opt;
-    opt.control = &ctl;
-    opt.resume_from = blob;
-    EXPECT_THROW((void)other.run(ex, opt), CheckpointError);
-  }
-  {  // wrong experiment: different scenario target
-    ResumeFixture other;
-    other.config.scenarios = 400;
-    SweepExecutor ex(2);
-    RunControl ctl;
-    StormRunOptions opt;
-    opt.control = &ctl;
-    opt.resume_from = blob;
-    EXPECT_THROW((void)other.run(ex, opt), CheckpointError);
-  }
+    change(other);
+    expect_rejected(other, blob, why);
+  };
+  rejected_by("seed", [](ResumeFixture& o) { o.config.seed = 78; });
+  rejected_by("protocol count",
+              [](ResumeFixture& o) { o.protocols = {o.suite.spf()}; });
+  rejected_by("scenario target", [](ResumeFixture& o) { o.config.scenarios = 400; });
+  rejected_by("top_k", [](ResumeFixture& o) { o.config.top_k = 4; });
+  rejected_by("quantile mismatch",
+              [](ResumeFixture& o) { o.config.quantiles = {0.5, 0.9, 0.95}; });
+  rejected_by("quantile count",
+              [](ResumeFixture& o) { o.config.quantiles = {0.5, 0.9}; });
+  rejected_by("flow count", [](ResumeFixture& o) { o.demand.set_demand(0, 1, 0.0); });
+  rejected_by("offered volume", [](ResumeFixture& o) {
+    o.demand = traffic::gravity_demand(o.g, 2e5, traffic::GravityMass::kDegree);
+  });
 
   // The pristine blob still works after all the rejected attempts.
+  SweepExecutor executor(2);
+  RunControl control;
+  StormRunOptions options;
+  options.control = &control;
   options.resume_from = blob;
   const StormRunResult finished = f.run(executor, options);
   EXPECT_TRUE(finished.complete());
   expect_identical(f.reference(), finished.result);
+}
+
+TEST(StormResume, RejectsAnOversizedFailedGroupList) {
+  // A checksum-valid blob whose last top-K record claims more failed groups
+  // than any vector can hold: the count must be bounded by the catalog
+  // before it sizes anything.
+  ResumeFixture f;
+  const StormRunResult partial = interrupted(f);
+  std::string blob = partial.checkpoint;
+  const auto& worst = partial.result.protocols.back().worst;
+  ASSERT_FALSE(worst.empty());
+  const std::size_t groups = worst.back().value.failed_groups.size();
+  // From the end: the checksum, the record's failed_edges, its group ids,
+  // then the count.
+  const std::size_t at = blob.size() - 8 - 8 - 8 * groups - 8;
+  std::string count(8, '\0');
+  patch(count, 0, groups);
+  ASSERT_EQ(blob.substr(at, 8), count) << "the count is not where the layout puts it";
+  constexpr std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max();
+  ASSERT_GT(kHuge, std::vector<std::size_t>().max_size());
+  patch(blob, at, kHuge);
+  expect_rejected(f, reseal(blob), "failed-group count");
+}
+
+TEST(StormResume, IndependentDecoderReadsTheVersionOneLayout) {
+  // Reads a final checkpoint with a plain CheckpointReader, in the order
+  // storm.cpp's schema comment documents, and compares every field with the
+  // result of the same run.  The storm code's own walk cannot catch a
+  // layout change that it makes on both sides.
+  ResumeFixture f;
+  f.protocols = {f.suite.spf()};
+  f.config.quantiles = {0.9};
+  f.config.top_k = 2;
+  SweepExecutor executor(2);
+  const StormRunResult run = f.run(executor);
+  ASSERT_TRUE(run.complete());
+  const StormExperimentResult& want = run.result;
+  const analysis::StormProtocolResult& p = want.protocols.at(0);
+  ASSERT_EQ(p.worst.size(), 2u);
+
+  analysis::CheckpointReader r(run.checkpoint);
+  const auto summary = [&r] {
+    analysis::RunningSummary s;
+    s.count = r.u64();
+    s.sum = r.f64();
+    s.min = r.f64();
+    s.max = r.f64();
+    return s;
+  };
+  const auto p2_estimator = [&r] {
+    EXPECT_EQ(r.u64(), 1u);  // estimator count
+    analysis::P2State s;
+    s.quantile = r.f64();
+    s.count = r.u64();
+    for (double& x : s.heights) x = r.f64();
+    for (double& x : s.positions) x = r.f64();
+    for (double& x : s.desired) x = r.f64();
+    for (double& x : s.desired_delta) x = r.f64();
+    EXPECT_EQ(s.quantile, 0.9);
+    return analysis::P2Quantile::from_state(s);
+  };
+  // Config echo.
+  EXPECT_EQ(r.str(), "storm-sweep");
+  EXPECT_EQ(r.u32(), 1u);  // version
+  EXPECT_EQ(r.u64(), f.config.seed);
+  EXPECT_EQ(r.u64(), f.config.scenarios);
+  EXPECT_EQ(r.u64(), 2u);  // top_k
+  EXPECT_EQ(r.u64(), 1u);  // quantile count
+  EXPECT_EQ(r.f64(), 0.9);
+  EXPECT_EQ(r.u64(), 1u);  // protocol count
+  EXPECT_EQ(r.str(), p.name);
+  // Cursor, demand echo and scenario shape.
+  EXPECT_EQ(r.u64(), want.scenarios);
+  EXPECT_EQ(r.u64(), want.flows_per_scenario);
+  EXPECT_EQ(r.f64(), want.offered_pps);
+  EXPECT_TRUE(summary() == want.failed_groups);
+  EXPECT_TRUE(summary() == want.failed_edges);
+  EXPECT_EQ(r.u64(), want.calm_scenarios);
+  EXPECT_EQ(r.u64(), want.disconnected_scenarios);
+  // The protocol: summaries, volumes, counters, P^2 sets, top-K records.
+  EXPECT_TRUE(summary() == p.utilization);
+  EXPECT_TRUE(summary() == p.stretch);
+  EXPECT_EQ(r.f64(), p.delivered_pps);
+  EXPECT_EQ(r.f64(), p.lost_pps);
+  EXPECT_EQ(r.f64(), p.stranded_pps);
+  EXPECT_EQ(r.u64(), p.overloaded_links);
+  EXPECT_EQ(r.u64(), p.overloaded_scenarios);
+  EXPECT_EQ(r.u64(), p.lossy_scenarios);
+  EXPECT_EQ(r.u64(), p.rerouted_flows);
+  const analysis::P2Quantile utilization = p2_estimator();
+  EXPECT_EQ(utilization.count(), want.scenarios);
+  EXPECT_EQ(utilization.estimate(), p.utilization_quantiles.at(0));
+  const analysis::P2Quantile stretch = p2_estimator();
+  EXPECT_EQ(stretch.count(), want.scenarios);
+  EXPECT_EQ(stretch.estimate(), p.stretch_quantiles.at(0));
+  ASSERT_EQ(r.u64(), p.worst.size());
+  for (const auto& entry : p.worst) {
+    EXPECT_EQ(r.f64(), entry.key);
+    EXPECT_EQ(r.u64(), entry.id);
+    EXPECT_EQ(r.f64(), entry.value.max_utilization);
+    EXPECT_EQ(r.f64(), entry.value.max_stretch);
+    EXPECT_EQ(r.f64(), entry.value.lost_pps);
+    EXPECT_EQ(r.f64(), entry.value.stranded_pps);
+    const std::uint64_t groups = r.u64();
+    ASSERT_LE(groups, f.catalog.group_count());
+    std::vector<std::size_t> ids(groups);
+    for (std::size_t& id : ids) id = r.u64();
+    EXPECT_EQ(ids, entry.value.failed_groups);
+    EXPECT_EQ(r.u64(), entry.value.failed_edges);
+  }
+  EXPECT_TRUE(r.exhausted());
 }
 
 }  // namespace

@@ -374,34 +374,11 @@ struct StormFixture {
 
 void expect_identical(const StormExperimentResult& want,
                       const StormExperimentResult& got) {
-  EXPECT_EQ(got.calm_scenarios, want.calm_scenarios);
-  EXPECT_EQ(got.disconnected_scenarios, want.disconnected_scenarios);
-  EXPECT_TRUE(got.failed_groups == want.failed_groups);
-  EXPECT_TRUE(got.failed_edges == want.failed_edges);
   ASSERT_EQ(got.protocols.size(), want.protocols.size());
   for (std::size_t i = 0; i < want.protocols.size(); ++i) {
-    const auto& a = want.protocols[i];
-    const auto& b = got.protocols[i];
-    EXPECT_TRUE(a.utilization == b.utilization) << a.name;
-    EXPECT_TRUE(a.stretch == b.stretch) << a.name;
-    EXPECT_EQ(a.utilization_quantiles, b.utilization_quantiles) << a.name;
-    EXPECT_EQ(a.stretch_quantiles, b.stretch_quantiles) << a.name;
-    EXPECT_EQ(a.delivered_pps, b.delivered_pps) << a.name;
-    EXPECT_EQ(a.lost_pps, b.lost_pps) << a.name;
-    EXPECT_EQ(a.stranded_pps, b.stranded_pps) << a.name;
-    EXPECT_EQ(a.overloaded_links, b.overloaded_links) << a.name;
-    EXPECT_EQ(a.overloaded_scenarios, b.overloaded_scenarios) << a.name;
-    EXPECT_EQ(a.lossy_scenarios, b.lossy_scenarios) << a.name;
-    EXPECT_EQ(a.rerouted_flows, b.rerouted_flows) << a.name;
-    ASSERT_EQ(a.worst.size(), b.worst.size()) << a.name;
-    for (std::size_t k = 0; k < a.worst.size(); ++k) {
-      EXPECT_EQ(a.worst[k].key, b.worst[k].key) << a.name;
-      EXPECT_EQ(a.worst[k].id, b.worst[k].id) << a.name;
-      EXPECT_EQ(a.worst[k].value.failed_groups, b.worst[k].value.failed_groups)
-          << a.name;
-      EXPECT_EQ(a.worst[k].value.lost_pps, b.worst[k].value.lost_pps) << a.name;
-    }
+    EXPECT_TRUE(got.protocols[i] == want.protocols[i]) << want.protocols[i].name;
   }
+  EXPECT_TRUE(got == want);
 }
 
 TEST(StormSweep, BitIdenticalAcrossThreadCounts) {

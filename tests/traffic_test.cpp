@@ -507,23 +507,17 @@ TEST(TrafficExperiment, LfaCoverageGapsPriceAsLostVolume) {
   EXPECT_NEAR(s.offered_pps, s.delivered_pps + s.lost_pps + s.stranded_pps, 1e-6);
 }
 
+/// Every field equal, metric rows and load maps as exact doubles: the
+/// canonical-order merge makes the floating-point sums exact.
 void expect_identical_traffic(const analysis::TrafficExperimentResult& serial,
                               const analysis::TrafficExperimentResult& parallel,
                               std::size_t threads) {
   ASSERT_EQ(parallel.protocols.size(), serial.protocols.size());
-  EXPECT_EQ(parallel.scenarios, serial.scenarios);
-  EXPECT_EQ(parallel.flows_per_scenario, serial.flows_per_scenario);
   for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
-    const auto& s = serial.protocols[i];
-    const auto& p = parallel.protocols[i];
-    EXPECT_EQ(p.name, s.name);
-    // Bit-identical doubles -- per-scenario metric rows, the summed load map
-    // and the aggregate summary -- not approximate equality: canonical-order
-    // merge makes the floating-point sums exact.
-    EXPECT_EQ(p.per_scenario, s.per_scenario) << s.name << " @ " << threads;
-    EXPECT_EQ(p.total_load, s.total_load) << s.name << " @ " << threads;
-    EXPECT_EQ(p.summary(), s.summary()) << s.name << " @ " << threads;
+    EXPECT_TRUE(parallel.protocols[i] == serial.protocols[i])
+        << serial.protocols[i].name << " @ " << threads;
   }
+  EXPECT_TRUE(parallel == serial) << threads << " threads";
 }
 
 TEST(TrafficExperiment, WeightedCostDiscriminatorSuiteIsSafe) {
