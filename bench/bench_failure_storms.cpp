@@ -90,7 +90,6 @@ using namespace pr;
 using Clock = std::chrono::steady_clock;
 
 constexpr double kTotalDemandPps = 1e6;
-constexpr double kBaselineUtilization = 0.6;
 constexpr double kOutageProbability = 0.02;  // per geographic bundle, per scenario
 
 double elapsed_ms(Clock::time_point start) {
@@ -104,24 +103,6 @@ double peak_rss_mb() {
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: kilobytes
-}
-
-/// Capacity plan sized so the busiest pristine SPF interface runs at the
-/// baseline utilization (same sizing rule as bench_traffic_sweep).
-traffic::CapacityPlan size_plan(const graph::Graph& g,
-                                const analysis::ProtocolSuite& suite,
-                                const traffic::TrafficMatrix& demand) {
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> demands;
-  analysis::collect_demand_flows(demand, flows, demands);
-  net::Network network(g);
-  const auto spf = suite.spf().make(network);
-  traffic::LoadMap load;
-  sim::BatchResult batch;
-  sim::route_batch(network, *spf, flows, demands, load, sim::TraceMode::kStats, batch);
-  double peak = 0.0;
-  for (const double v : load.darts()) peak = std::max(peak, v);
-  return traffic::CapacityPlan::uniform(g, peak / kBaselineUtilization);
 }
 
 /// Every streamed output, bit for bit: running sums, P^2 estimates, volume
@@ -182,7 +163,8 @@ int main(int argc, char** argv) {
                                                          suite.reconvergence()};
   const traffic::TrafficMatrix demand =
       traffic::gravity_demand(g, kTotalDemandPps, traffic::GravityMass::kDegree);
-  const traffic::CapacityPlan plan = size_plan(g, suite, demand);
+  const traffic::CapacityPlan plan =
+      analysis::baseline_capacity_plan(g, demand, suite.spf());
 
   // The storm catalog: one geographic bundle per node (all links within one
   // hop), failing independently per scenario.  The disconnecting-group count

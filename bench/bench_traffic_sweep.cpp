@@ -33,7 +33,6 @@
 //       "counters": {...}, "phases": {...}, "per_worker": [...] } }
 //
 //   $ ./bench_traffic_sweep [threads] [dual-scenario cap, 0 = none]
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iomanip>
@@ -59,26 +58,6 @@ using namespace pr;
 using Clock = std::chrono::steady_clock;
 
 constexpr double kTotalDemandPps = 1e6;  // a million packets/s across the network
-constexpr double kBaselineUtilization = 0.6;  // headroom on the pristine busiest link
-
-/// Demand-weighted per-dart load of the pristine (no failures) network under
-/// plain shortest-path forwarding: the baseline the capacity plan is sized
-/// against.
-traffic::LoadMap pristine_load(const graph::Graph& g,
-                               const analysis::ProtocolSuite& suite,
-                               const traffic::TrafficMatrix& demand) {
-  // The exact work-list the sweep will route, so capacity is sized against
-  // the same flows.
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> demands;
-  analysis::collect_demand_flows(demand, flows, demands);
-  net::Network network(g);
-  const auto spf = suite.spf().make(network);
-  traffic::LoadMap load;
-  sim::BatchResult batch;
-  sim::route_batch(network, *spf, flows, demands, load, sim::TraceMode::kStats, batch);
-  return load;
-}
 
 void require_identical(const analysis::TrafficExperimentResult& reference,
                        const analysis::TrafficExperimentResult& candidate,
@@ -157,7 +136,7 @@ int main(int argc, char** argv) {
   executor.set_telemetry(sim::SweepTelemetry{&registry, nullptr, nullptr});
   const auto bench_t0 = Clock::now();
   std::cout << "traffic sweep: gravity demand " << kTotalDemandPps
-            << " pps, capacity sized for " << kBaselineUtilization
+            << " pps, capacity sized for " << analysis::kBaselineUtilization
             << " pristine peak utilization, " << executor.thread_count()
             << " sweep thread(s)\n\n";
 
@@ -174,7 +153,7 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"bench\": \"traffic_sweep\",\n"
        << "  \"total_demand_pps\": " << kTotalDemandPps << ",\n"
-       << "  \"baseline_utilization\": " << kBaselineUtilization << ",\n"
+       << "  \"baseline_utilization\": " << analysis::kBaselineUtilization << ",\n"
        << "  \"demand_model\": \"gravity-degree\",\n"
        << "  \"threads\": " << executor.thread_count() << ",\n"
        << "  \"dual_scenario_cap\": " << dual_cap << ",\n"
@@ -189,11 +168,8 @@ int main(int argc, char** argv) {
 
     const traffic::TrafficMatrix demand =
         traffic::gravity_demand(g, kTotalDemandPps, traffic::GravityMass::kDegree);
-    const traffic::LoadMap baseline = pristine_load(g, suite, demand);
-    double peak = 0.0;
-    for (double v : baseline.darts()) peak = std::max(peak, v);
     const traffic::CapacityPlan plan =
-        traffic::CapacityPlan::uniform(g, peak / kBaselineUtilization);
+        analysis::baseline_capacity_plan(g, demand, suite.spf());
 
     std::cout << t.name << ": " << g.node_count() << " nodes, " << g.edge_count()
               << " links, " << demand.pair_count() << " demand pairs, per-link capacity "

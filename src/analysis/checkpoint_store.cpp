@@ -1,14 +1,15 @@
 #include "analysis/checkpoint_store.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "analysis/checkpoint.hpp"
+#include "sim/run_control.hpp"
 #include "util/atomic_file.hpp"
 
 namespace pr::analysis {
@@ -26,16 +27,14 @@ std::optional<std::uint64_t> parse_generation(std::string_view name) {
   if (name.size() <= kPrefix.size() + kSuffix.size()) return std::nullopt;
   if (name.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
   if (name.substr(name.size() - kSuffix.size()) != kSuffix) return std::nullopt;
-  const std::string_view digits =
-      name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string_view::npos) {
+  const std::string digits(
+      name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size()));
+  std::size_t value = 0;
+  if (!sim::parse_count_arg(digits.c_str(), std::numeric_limits<std::size_t>::max(),
+                            value)) {
     return std::nullopt;
   }
-  errno = 0;
-  const unsigned long long value = std::strtoull(std::string(digits).c_str(), nullptr, 10);
-  if (errno != 0) return std::nullopt;
-  return static_cast<std::uint64_t>(value);
+  return value;
 }
 
 [[noreturn]] void fail(const std::string& what, const std::error_code& ec) {
@@ -71,11 +70,11 @@ CheckpointStore::CheckpointStore(std::string directory, CheckpointStoreOptions o
   for (const std::uint64_t gen : generations()) latest_ = std::max(latest_, gen);
 }
 
-std::vector<std::uint64_t> CheckpointStore::generations() const {
+std::vector<std::uint64_t> CheckpointStore::generations(const std::string& directory) {
   std::vector<std::uint64_t> out;
   std::error_code ec;
-  fs::directory_iterator it(directory_, ec);
-  if (ec) fail("cannot list directory '" + directory_ + "'", ec);
+  fs::directory_iterator it(directory, ec);
+  if (ec) fail("cannot list directory '" + directory + "'", ec);
   for (const fs::directory_entry& entry : it) {
     if (const auto gen = parse_generation(entry.path().filename().string())) {
       out.push_back(*gen);

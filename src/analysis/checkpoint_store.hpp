@@ -82,7 +82,14 @@ class CheckpointStore {
   [[nodiscard]] std::optional<StoredCheckpoint> load_latest();
 
   /// Generation numbers currently on disk, ascending (fresh directory scan).
-  [[nodiscard]] std::vector<std::uint64_t> generations() const;
+  [[nodiscard]] std::vector<std::uint64_t> generations() const {
+    return generations(directory_);
+  }
+
+  /// The same scan of any directory, for readers that must not create the
+  /// store (the supervisor's heartbeat); throws CheckpointStoreError when the
+  /// directory cannot be listed.
+  [[nodiscard]] static std::vector<std::uint64_t> generations(const std::string& directory);
 
   /// The newest generation number ever observed or written by this instance
   /// (0 = none).

@@ -414,10 +414,11 @@ StormRunResult run_storm_experiment_resilient(
     }
   };
 
-  // Periodic durability: the monitor thread seals the reducers at its
-  // watermark k (under the executor's reduce lock, so the blob is exactly the
-  // prefix [0, k)) and hands the ABSOLUTE cursor offset + k to the caller's
-  // persist hook off-lock.  Without a hook the checkpoint is inactive.
+  // Periodic durability: while run() waits for the pool, its calling thread
+  // seals the reducers at the watermark k (under the executor's reduce lock,
+  // so the blob is exactly the prefix [0, k)) and hands the ABSOLUTE cursor
+  // offset + k to the caller's persist hook off-lock.  Without a hook the
+  // checkpoint is inactive.
   sim::AutoCheckpoint auto_ckpt;
   if (options.persist_checkpoint) {
     auto_ckpt.cadence = options.checkpoint_cadence;

@@ -155,10 +155,10 @@ struct StormRunOptions {
   std::string_view resume_from{};
   /// Periodic auto-checkpointing during the sweep (sim::AutoCheckpoint under
   /// the hood): when `persist_checkpoint` is set and the cadence is active,
-  /// the executor's monitor thread seals the reducer prefix [0, k) on cadence
-  /// and hands `persist_checkpoint` the ABSOLUTE scenario cursor (resume
-  /// offset included) plus the sealed blob -- typically forwarded straight to
-  /// a CheckpointStore.  Requires `control` (throws std::invalid_argument
+  /// the thread that called the driver seals the reducer prefix [0, k) on
+  /// cadence while the pool runs, and hands `persist_checkpoint` the
+  /// ABSOLUTE scenario cursor (resume offset included) plus the sealed blob
+  /// -- typically forwarded straight to a CheckpointStore.  Requires `control` (throws std::invalid_argument
   /// otherwise: auto-checkpointing an uncontrolled run is a config bug).
   /// Durability only; results are bit-identical with or without it.
   sim::CheckpointCadence checkpoint_cadence{};

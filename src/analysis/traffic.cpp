@@ -30,6 +30,22 @@ double collect_demand_flows(const traffic::TrafficMatrix& demand,
   return offered;
 }
 
+traffic::CapacityPlan baseline_capacity_plan(const graph::Graph& g,
+                                             const traffic::TrafficMatrix& demand,
+                                             const NamedFactory& spf) {
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  collect_demand_flows(demand, flows, demands);
+  net::Network network(g);
+  const auto protocol = spf.make(network);
+  traffic::LoadMap load;
+  sim::BatchResult batch;
+  sim::route_batch(network, *protocol, flows, demands, load, sim::TraceMode::kStats, batch);
+  double peak = 0.0;
+  for (const double v : load.darts()) peak = std::max(peak, v);
+  return traffic::CapacityPlan::uniform(g, peak / kBaselineUtilization);
+}
+
 void validate_sweep_inputs(const char* driver, const graph::Graph& g,
                            const traffic::TrafficMatrix& demand,
                            const traffic::CapacityPlan& plan,

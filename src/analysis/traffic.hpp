@@ -108,6 +108,18 @@ double collect_demand_flows(const traffic::TrafficMatrix& demand,
                             std::vector<sim::FlowSpec>& flows,
                             std::vector<double>& demands);
 
+/// Utilization of the busiest pristine shortest-path dart under the
+/// baseline capacity plan below.
+inline constexpr double kBaselineUtilization = 0.6;
+
+/// The uniform capacity plan every storm and traffic driver sizes against:
+/// routes the collect_demand_flows() work-list over the pristine network with
+/// `spf` (ProtocolSuite::spf()) and gives every link the capacity at which the
+/// busiest dart runs at kBaselineUtilization.  A pure function of the
+/// topology and demand, so a resumed sweep rebuilds it bit for bit.
+[[nodiscard]] traffic::CapacityPlan baseline_capacity_plan(
+    const graph::Graph& g, const traffic::TrafficMatrix& demand, const NamedFactory& spf);
+
 /// Routes the demand matrix through every scenario under every protocol and
 /// prices the resulting loads against `plan`.  Scenarios may disconnect the
 /// graph: demand whose destination becomes unreachable is accounted as

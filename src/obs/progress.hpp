@@ -2,13 +2,13 @@
 // ETA, per-worker utilization, and a stall detector.
 //
 // Workers publish into fixed per-worker lanes of relaxed atomics (one store
-// per unit start, a few per unit end); a monitor thread -- spawned by
-// SweepExecutor::run_job when progress is attached -- calls tick() on its
-// interval to snapshot the lanes, fire callbacks (the benches' stderr
-// progress line), and flag stalls.  Nothing here feeds back into scheduling:
-// a flagged stall is reported, never acted on, so the determinism contract is
-// untouched.  All time flows through explicit `now_ns` parameters so tests
-// drive the clock synthetically instead of sleeping.
+// per unit start, a few per unit end); while SweepExecutor::run waits for
+// its pool, the calling thread calls tick() on the interval to snapshot the
+// lanes, fire callbacks (the benches' stderr progress line), and flag
+// stalls.  Nothing here feeds back into scheduling: a flagged stall is
+// reported, never acted on, so the determinism contract is untouched.  All
+// time flows through explicit `now_ns` parameters so tests drive the clock
+// synthetically instead of sleeping.
 //
 // Stall detection complements sim::RunControl deadlines: a deadline bounds
 // the whole sweep, the stall watermark names the specific worker (and unit)
@@ -46,12 +46,12 @@ struct StallEvent {
 
 /// Shared progress state for one sweep job at a time (begin_job resets).
 /// Thread-safety: worker lanes are written only by their worker; tick(),
-/// snapshot() and callback registration belong to the monitor/driver side.
+/// snapshot() and callback registration belong to the driving thread.
 /// Register callbacks before the job starts.
 class SweepProgress {
  public:
   struct Options {
-    std::uint64_t interval_ns = 1'000'000'000;     ///< tick cadence hint for the monitor
+    std::uint64_t interval_ns = 1'000'000'000;     ///< tick() cadence while a job runs
     std::uint64_t stall_after_ns = 5'000'000'000;  ///< in-flight time before a stall fires
   };
 
@@ -73,7 +73,7 @@ class SweepProgress {
   void unit_finished(std::size_t worker, std::uint64_t now_ns) noexcept;
   void end_job(std::uint64_t now_ns) noexcept;
 
-  // -- monitor side -------------------------------------------------------
+  // -- driver side --------------------------------------------------------
   /// Snapshots lanes, fires the snapshot callback, and checks each in-flight
   /// worker against stall_after_ns (each claim is reported at most once).
   void tick(std::uint64_t now_ns);

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/run_control.hpp"
+
 namespace pr::sim {
 namespace {
 
@@ -33,15 +35,11 @@ std::vector<std::string> split_commas(std::string_view text) {
 
 std::size_t parse_index(const std::string& token, const char* var,
                         std::string_view raw) {
-  if (token.empty() || token.find_first_not_of("0123456789") != std::string::npos) {
+  std::size_t value = 0;
+  if (!parse_count_arg(token.c_str(), std::numeric_limits<std::size_t>::max(), value)) {
     fail_env(var, raw, "expected a non-negative integer, got '" + token + "'");
   }
-  errno = 0;
-  const unsigned long long value = std::strtoull(token.c_str(), nullptr, 10);
-  if (errno != 0 || value > std::numeric_limits<std::size_t>::max()) {
-    fail_env(var, raw, "value out of range '" + token + "'");
-  }
-  return static_cast<std::size_t>(value);
+  return value;
 }
 
 /// Duplicate unit indices in one variable are rejected rather than silently

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -20,17 +19,6 @@
 #include "sim/fault_plan.hpp"
 
 namespace pr::sim {
-
-bool parse_count_arg(const char* raw, std::size_t max_value, std::size_t& out) {
-  if (raw == nullptr || *raw == '\0' || *raw == '-' || *raw == '+') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE) return false;
-  if (parsed > max_value) return false;
-  out = static_cast<std::size_t>(parsed);
-  return true;
-}
 
 std::uint64_t split_seed(std::uint64_t seed, std::uint64_t stream) {
   // The library-wide splitmix64 discipline lives in graph/rng.hpp; this alias
@@ -59,6 +47,7 @@ std::size_t threads_from_arg(int argc, char** argv, int index, std::size_t fallb
 
 struct SweepExecutor::Impl {
   static constexpr std::size_t kNoTruncation = std::numeric_limits<std::size_t>::max();
+  static constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
   std::mutex mutex;
   std::condition_variable work_ready;
@@ -92,18 +81,15 @@ struct SweepExecutor::Impl {
   std::size_t error_count = 0;
   std::size_t truncate_at = kNoTruncation;
 
-  // Auto-checkpoint counters for the current job (ordered runs only): the
-  // hooks run on the monitor thread, which writes these under `mutex`; run()
-  // reads them after the monitor joins.
-  std::size_t auto_checkpoints = 0;
-  std::size_t checkpoint_failures = 0;
-
   // Ordered-reduction state (ordered runs only), guarded by `mutex`.
   const ReduceFn* reduce = nullptr;
   std::size_t window = 0;
   std::size_t watermark = 0;        // next unit to reduce, strictly ascending
   std::vector<std::uint8_t> done;   // ring, size `window`: 0 pending, 1 ok, 2 failed
   std::condition_variable slot_free;
+  // The watermark at which a unit-cadence checkpoint falls due (kNever when
+  // none is armed): the reduce that reaches it wakes run()'s caller.
+  std::size_t checkpoint_due = kNever;
 
   std::atomic<std::size_t> next_unit{0};  // claim cursor; overshoots claim_limit
 
@@ -186,9 +172,10 @@ struct SweepExecutor::Impl {
           // A REAL crash, on purpose: no unwinding, no drain, no final
           // checkpoint -- SIGABRT at the claim of unit `unit`.  This is the
           // injection the durable store and the supervisor are proven
-          // against; every auto-checkpoint already persisted is a canonical
-          // prefix strictly below this unit, so resume loses at most one
-          // cadence interval of work.
+          // against.  Every auto-checkpoint already persisted is a canonical
+          // prefix strictly below this unit, so resume loses the units
+          // reduced since the last persisted generation: one cadence
+          // interval plus whatever completed while its persist ran.
           std::abort();
         }
         if (reduce != nullptr) {
@@ -263,7 +250,7 @@ struct SweepExecutor::Impl {
           // concurrently with itself and the sequence is 0, 1, 2, ... for
           // every thread count.  Mark 2 (contained unit failure under
           // kContinue) advances the watermark without folding.
-          bool advanced = false;
+          const std::size_t reduced_from = watermark;
           while (watermark < claim_limit && watermark < truncate_at &&
                  done[watermark % window] != 0) {
             const bool fold = done[watermark % window] == 1;
@@ -292,14 +279,93 @@ struct SweepExecutor::Impl {
               }
             }
             ++watermark;
-            advanced = true;
           }
-          if (advanced) slot_free.notify_all();
+          if (watermark != reduced_from) {
+            slot_free.notify_all();
+            if (reduced_from < checkpoint_due && watermark >= checkpoint_due) {
+              job_done.notify_all();  // a unit-cadence checkpoint fell due
+            }
+          }
         }
       }
       {
         std::lock_guard<std::mutex> lock(mutex);
         if (++idle_workers == workers.size()) job_done.notify_all();
+      }
+    }
+  }
+
+  /// The calling thread's side of a job: waits until the pool drains and
+  /// meanwhile ticks the attached progress on its interval and seals and
+  /// persists `ckpt` on its cadence; with neither it only waits.  Caller holds
+  /// `mutex` through `lock`.  noexcept because returning early would leave the
+  /// workers running a job whose run() call has unwound: a throwing progress
+  /// callback terminates, as it would on any thread.
+  void monitor_job(std::unique_lock<std::mutex>& lock, const AutoCheckpoint* ckpt,
+                   SweepOutcome& outcome) noexcept {
+    using Clock = std::chrono::steady_clock;
+    constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+    obs::SweepProgress* const progress = telemetry.progress;
+    obs::TraceLog* const trace = telemetry.trace;
+    // Seals and persists count into no telemetry sink: a sink installed on
+    // the calling thread sees only what its driver does around run().
+    const obs::ScopedSink no_sink(nullptr);
+    const auto start = Clock::now();
+    const auto tick_every = std::chrono::nanoseconds(
+        progress != nullptr ? progress->options().interval_ns : 0);
+    auto next_tick = progress != nullptr ? start + tick_every : kNoDeadline;
+    auto next_seal = ckpt != nullptr && ckpt->cadence.period.count() != 0
+                         ? start + ckpt->cadence.period
+                         : kNoDeadline;
+    std::size_t last_sealed = 0;
+    const auto drained = [&] { return idle_workers == workers.size(); };
+    const auto woken = [&] { return drained() || watermark >= checkpoint_due; };
+    while (true) {
+      const auto deadline = std::min(next_tick, next_seal);
+      if (deadline == kNoDeadline) {
+        job_done.wait(lock, woken);
+      } else {
+        job_done.wait_until(lock, deadline, woken);
+      }
+      if (drained()) return;
+      const auto now = Clock::now();
+      if (watermark >= checkpoint_due || now >= next_seal) {
+        // Re-arm both triggers from this attempt, whether or not it succeeds:
+        // a trigger left due would spin this loop while holding `mutex`.
+        const std::size_t k = watermark;
+        if (ckpt->cadence.units != 0) {
+          checkpoint_due = k + std::min(ckpt->cadence.units, kNever - k);
+        }
+        if (next_seal != kNoDeadline) next_seal = now + ckpt->cadence.period;
+        if (k != last_sealed) {  // skip when nothing was reduced since
+          // Seal under the lock, where the watermark is frozen; persist off it.
+          bool ok = true;
+          try {
+            std::string blob = ckpt->serialize(k);
+            lock.unlock();
+            ckpt->persist(k, std::move(blob));
+          } catch (...) {
+            ok = false;
+          }
+          if (!lock.owns_lock()) lock.lock();
+          if (ok) {
+            if (trace != nullptr) trace->record_instant(obs::SpanKind::kCheckpoint, 0, k);
+            ++outcome.auto_checkpoints;
+            last_sealed = k;
+          } else {
+            ++outcome.checkpoint_failures;
+          }
+        }
+      }
+      if (now >= next_tick) {
+        next_tick = now + tick_every;
+        lock.unlock();
+        const std::uint64_t stalls_before = progress->stalls_detected();
+        progress->tick(obs::now_ns());
+        if (trace != nullptr && progress->stalls_detected() > stalls_before) {
+          trace->record_instant(obs::SpanKind::kStall, 0, 0, progress->stalls_detected());
+        }
+        lock.lock();
       }
     }
   }
@@ -379,10 +445,9 @@ void SweepExecutor::run(std::size_t unit_count, const UnitFn& fn, std::uint64_t 
 }
 
 void SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
-                                const ReduceFn& reduce, std::uint64_t seed,
-                                std::size_t window) {
-  throw_if_failed(run(unit_count, fn, RunControl{},
-                      RunOptions{.seed = seed, .reduce = reduce, .window = window}));
+                                const ReduceFn& reduce, std::uint64_t seed) {
+  throw_if_failed(
+      run(unit_count, fn, RunControl{}, RunOptions{.seed = seed, .reduce = reduce}));
 }
 
 std::size_t SweepExecutor::default_ordered_window() const noexcept {
@@ -399,9 +464,7 @@ SweepOutcome SweepExecutor::run(std::size_t unit_count, const UnitFn& fn,
         "concurrent run() calls; give each driving thread its own executor)");
   }
   const ReduceFn* reduce = options.reduce ? &options.reduce : nullptr;
-  const std::size_t window =
-      reduce == nullptr ? 0
-                        : (options.window == 0 ? default_ordered_window() : options.window);
+  const std::size_t window = reduce == nullptr ? 0 : default_ordered_window();
   impl_->job_active = true;
   impl_->fn = &fn;
   impl_->claim_limit = std::min(unit_count, control.unit_budget());
@@ -419,116 +482,29 @@ SweepOutcome SweepExecutor::run(std::size_t unit_count, const UnitFn& fn,
   impl_->truncate_at = Impl::kNoTruncation;
   impl_->next_unit.store(0, std::memory_order_relaxed);
   impl_->idle_workers = 0;
-  impl_->auto_checkpoints = 0;
-  impl_->checkpoint_failures = 0;
 
-  // A monitor thread runs while progress is attached and/or an active
-  // auto-checkpoint is installed: progress ticks (snapshot callbacks, stall
-  // detection) and periodic checkpoints both belong off the worker threads.
-  // Taking the executor mutex only to WAIT keeps the monitor off the
-  // workers' lock hot path; progress ticks and checkpoint persists run
-  // unlocked -- only checkpoint SERIALIZATION runs under the lock, which is
-  // precisely what freezes the watermark and makes the blob a canonical
-  // prefix (see AutoCheckpoint).
+  // Checkpoints seal the reduced prefix, so only an ordered run arms them.
+  const AutoCheckpoint* ckpt =
+      reduce != nullptr && options.checkpoint != nullptr && options.checkpoint->active()
+          ? options.checkpoint
+          : nullptr;
+  impl_->checkpoint_due =
+      ckpt != nullptr && ckpt->cadence.units != 0 ? ckpt->cadence.units : Impl::kNever;
   obs::SweepProgress* progress = impl_->telemetry.progress;
   obs::TraceLog* trace = impl_->telemetry.trace;
-  const AutoCheckpoint* ckpt =
-      (options.checkpoint != nullptr && options.checkpoint->active()) ? options.checkpoint
-                                                                      : nullptr;
-  std::thread monitor;
-  if (progress != nullptr || ckpt != nullptr) {
-    if (progress != nullptr) {
-      progress->begin_job(impl_->workers.size(), impl_->claim_limit, obs::now_ns());
-    }
-    // Poll granularity: the progress interval and/or the checkpoint period,
-    // whichever is finer.  A pure unit cadence still needs the watermark
-    // observed; 10ms keeps worst-case checkpoint lag far below any fsync.
-    std::chrono::nanoseconds interval = std::chrono::nanoseconds::max();
-    if (progress != nullptr) {
-      interval = std::chrono::nanoseconds(progress->options().interval_ns);
-    }
-    if (ckpt != nullptr) {
-      const std::chrono::nanoseconds ckpt_poll =
-          ckpt->cadence.period.count() > 0
-              ? std::chrono::nanoseconds(ckpt->cadence.period)
-              : std::chrono::nanoseconds(std::chrono::milliseconds(10));
-      interval = std::min(interval, ckpt_poll);
-    }
-    monitor = std::thread([this, progress, trace, ckpt, interval] {
-      auto last_ckpt_time = std::chrono::steady_clock::now();
-      std::size_t last_ckpt_units = 0;
-      std::unique_lock<std::mutex> mon_lock(impl_->mutex);
-      while (impl_->idle_workers != impl_->workers.size()) {
-        if (impl_->job_done.wait_for(mon_lock, interval, [&] {
-              return impl_->idle_workers == impl_->workers.size();
-            })) {
-          break;
-        }
-        if (ckpt != nullptr) {
-          const std::size_t k = impl_->watermark;
-          const auto now = std::chrono::steady_clock::now();
-          const bool unit_due =
-              ckpt->cadence.units != 0 && k >= last_ckpt_units + ckpt->cadence.units;
-          const bool time_due = ckpt->cadence.period.count() != 0 &&
-                                now - last_ckpt_time >= ckpt->cadence.period;
-          if ((unit_due || time_due) && k != last_ckpt_units) {
-            // k > last_ckpt_units always (the watermark is monotone); skip
-            // only when nothing new completed since the last generation.
-            std::string blob;
-            bool sealed = true;
-            try {
-              blob = ckpt->serialize(k);  // under the lock: watermark frozen
-            } catch (...) {
-              sealed = false;
-              ++impl_->checkpoint_failures;
-            }
-            if (sealed) {
-              mon_lock.unlock();
-              bool persisted = true;
-              try {
-                ckpt->persist(k, std::move(blob));
-              } catch (...) {
-                persisted = false;
-              }
-              if (persisted && trace != nullptr) {
-                trace->record_instant(obs::SpanKind::kCheckpoint, 0, k);
-              }
-              mon_lock.lock();
-              if (persisted) {
-                ++impl_->auto_checkpoints;
-                last_ckpt_units = k;
-              } else {
-                ++impl_->checkpoint_failures;
-              }
-            }
-            last_ckpt_time = now;  // re-arm the timer even on failure
-          } else if (unit_due || time_due) {
-            last_ckpt_time = now;  // due but idle: nothing new to persist
-          }
-        }
-        if (progress != nullptr) {
-          mon_lock.unlock();
-          const std::uint64_t stalls_before = progress->stalls_detected();
-          progress->tick(obs::now_ns());
-          if (trace != nullptr && progress->stalls_detected() > stalls_before) {
-            trace->record_instant(obs::SpanKind::kStall, 0, 0,
-                                  progress->stalls_detected());
-          }
-          mon_lock.lock();
-        }
-      }
-    });
+  if (progress != nullptr) {
+    progress->begin_job(impl_->workers.size(), impl_->claim_limit, obs::now_ns());
   }
 
   ++impl_->generation;
   impl_->work_ready.notify_all();
-  impl_->job_done.wait(lock, [&] { return impl_->idle_workers == impl_->workers.size(); });
+  SweepOutcome outcome;
+  impl_->monitor_job(lock, ckpt, outcome);
   impl_->fn = nullptr;
   impl_->reduce = nullptr;
   impl_->control = nullptr;
   impl_->job_active = false;
 
-  SweepOutcome outcome;
   const bool truncated = impl_->truncate_at != Impl::kNoTruncation;
   if (reduce != nullptr) {
     outcome.completed_units = impl_->watermark;
@@ -560,13 +536,6 @@ SweepOutcome SweepExecutor::run(std::size_t unit_count, const UnitFn& fn,
   const std::size_t truncation_point = impl_->truncate_at;
   lock.unlock();
 
-  // The monitor holds the mutex while waiting, so it is joined only after
-  // the lock is released.
-  if (monitor.joinable()) monitor.join();
-  // Checkpoint counters are read AFTER the join: a persist in flight when the
-  // pool drained still completes (and counts) before run() returns.
-  outcome.auto_checkpoints = impl_->auto_checkpoints;
-  outcome.checkpoint_failures = impl_->checkpoint_failures;
   if (progress != nullptr) progress->end_job(obs::now_ns());
   if (trace != nullptr && truncated) {
     trace->record_instant(obs::SpanKind::kTruncate, 0, truncation_point,

@@ -66,8 +66,8 @@ namespace pr::sim {
 ///   * trace    -- obs::TraceLog receiving unit/reduce/fault/stall/truncate
 ///     spans for chrome://tracing export.
 ///   * progress -- obs::SweepProgress fed per-unit start/finish events; when
-///     attached, run()/run_ordered() drive a monitor thread that calls
-///     progress->tick() on its configured interval (snapshot callbacks,
+///     attached, the thread that called run() calls progress->tick() on its
+///     configured interval while it waits for the pool (snapshot callbacks,
 ///     stall detection).
 struct SweepTelemetry {
   obs::Registry* registry = nullptr;
@@ -85,25 +85,28 @@ struct SweepTelemetry {
 inline constexpr std::size_t kMaxSweepThreads = 4096;
 
 /// Periodic durability hook for controlled ordered sweeps.  When attached,
-/// the executor's monitor thread persists mid-run checkpoints on `cadence`
-/// without ever pausing the sweep:
+/// the thread that called run() persists mid-run checkpoints on `cadence`
+/// while it waits for the pool, without ever pausing the sweep:
 ///
-///   * serialize(k) runs on the monitor thread UNDER the executor's internal
-///     lock.  reduce() is serialised by that same lock, so the watermark k is
-///     frozen and the caller's streaming reducer state is EXACTLY the
-///     canonical prefix [0, k) -- the blob it returns is bit-identical to the
-///     checkpoint a deadline-stopped run at k would have written.  Keep it to
-///     in-memory encoding (KBs of reducer state); every worker that reaches
-///     its reduce step blocks while it runs.
+///   * serialize(k) runs UNDER the executor's internal lock.  reduce() is
+///     serialised by that same lock, so the watermark k is frozen and the
+///     caller's streaming reducer state is EXACTLY the canonical prefix
+///     [0, k) -- the blob it returns is bit-identical to the checkpoint a
+///     deadline-stopped run at k would have written.  Keep it to in-memory
+///     encoding (KBs of reducer state); every worker that reaches its reduce
+///     step blocks while it runs.
 ///   * persist(k, blob) runs OFF the lock, so fsync/rename latency never
 ///     stalls a worker.  By the time it runs the sweep has typically moved
 ///     past k; that is fine -- the blob was sealed under the lock.
 ///
-/// Either hook throwing counts a checkpoint_failure on the outcome and the
-/// sweep keeps going (a missed checkpoint loses durability, never results).
-/// The driver still owns the FINAL checkpoint after the run returns; this
-/// hook is what bounds the re-execution window when the process dies without
-/// warning (SIGKILL, std::abort) between final checkpoints.
+/// A unit cadence falls due when the reduce reaches the due unit, a time
+/// cadence on a timed wait; neither hook counts into a telemetry sink.
+/// Either hook throwing counts a checkpoint_failure on the outcome and
+/// re-arms the cadence; results never change.  The driver still owns the
+/// FINAL checkpoint after the run returns.  A process that dies without
+/// warning (SIGKILL, std::abort) loses the units reduced since the last
+/// PERSISTED generation: one cadence interval plus whatever completed while
+/// that generation's persist was in flight.
 struct AutoCheckpoint {
   std::function<std::string(std::size_t completed_units)> serialize;
   std::function<void(std::size_t completed_units, std::string&& blob)> persist;
@@ -121,8 +124,6 @@ struct RunOptions {
   std::uint64_t seed = 0;
   /// Canonical-order reduce (SweepExecutor::ReduceFn); empty runs unordered.
   std::function<void(std::size_t unit)> reduce{};
-  /// Reduce slot-ring size; 0 selects default_ordered_window().
-  std::size_t window = 0;
   /// Periodic checkpoints of an ordered run; must outlive the call.
   const AutoCheckpoint* checkpoint = nullptr;
 };
@@ -258,11 +259,12 @@ class SweepExecutor {
   /// floating-point sums) is bit-identical to a serial sweep.  A failed unit's
   /// reduce is skipped under kContinue (it still counts toward the prefix);
   /// reduce() itself throwing always truncates.  Unit u does not start before
-  /// reduce(u - window) returned, so a ring of `window` slots (index
-  /// unit % window) carries results from fn to reduce in flat memory; a
-  /// window of 1 fully serialises the pipeline.  An active options.checkpoint
-  /// seals and persists the reduced prefix on its cadence (see
-  /// AutoCheckpoint) without changing a result bit.
+  /// reduce(u - window) returned, window = default_ordered_window(), so a
+  /// ring of `window` slots (index unit % window) carries results from fn to
+  /// reduce in flat memory.  An active options.checkpoint seals and persists
+  /// the reduced prefix on its cadence (see AutoCheckpoint) without changing
+  /// a result bit.  The calling thread runs progress ticks and checkpoint
+  /// seals while it waits for the pool; run() starts no thread.
   SweepOutcome run(std::size_t unit_count, const UnitFn& fn, const RunControl& control,
                    const RunOptions& options = {});
 
@@ -270,14 +272,14 @@ class SweepExecutor {
   /// signals, kStop policy), its outcome handed to throw_if_failed().
   void run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed = 0);
 
-  /// Throwing ordered form: the controlled run() with `reduce` and `window`
-  /// under a default RunControl, rethrown like the form above.
+  /// Throwing ordered form: the controlled run() with `reduce` under a
+  /// default RunControl, rethrown like the form above.
   void run_ordered(std::size_t unit_count, const UnitFn& fn, const ReduceFn& reduce,
-                   std::uint64_t seed = 0, std::size_t window = 0);
+                   std::uint64_t seed = 0);
 
-  /// The window an ordered run with window 0 selects: wide enough to keep
-  /// every worker busy across reduction stalls (4 * thread_count(), floor 16).
-  /// Callers sizing slot rings should use this.
+  /// The reduce window of every ordered run: wide enough to keep every worker
+  /// busy across reduction stalls (4 * thread_count(), floor 16).  Callers
+  /// size their slot rings with it.
   [[nodiscard]] std::size_t default_ordered_window() const noexcept;
 
  private:
@@ -298,13 +300,5 @@ class SweepExecutor {
 /// a surprise pool size.
 [[nodiscard]] std::size_t threads_from_arg(int argc, char** argv, int index,
                                            std::size_t fallback = 0);
-
-/// Strict decimal parse for CLI counts that size allocations or loops:
-/// rejects signs, suffixes ("x4", "4x"), empty strings, overflow and values
-/// above `max_value`.  Returns false instead of throwing so callers can
-/// print their own usage line.  The thread-count helpers above use the same
-/// rules.
-[[nodiscard]] bool parse_count_arg(const char* raw, std::size_t max_value,
-                                   std::size_t& out);
 
 }  // namespace pr::sim

@@ -1,7 +1,9 @@
 #include "sim/run_control.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace pr::sim {
@@ -13,26 +15,33 @@ namespace {
                               "': " + detail);
 }
 
-std::uint64_t parse_count(std::string_view digits, const char* var,
-                          std::string_view raw) {
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string_view::npos) {
+std::size_t parse_count(std::string_view digits, const char* var,
+                        std::string_view raw) {
+  std::size_t value = 0;
+  if (!parse_count_arg(std::string(digits).c_str(),
+                       std::numeric_limits<std::size_t>::max(), value)) {
     fail_cadence(var, raw,
                  "expected a positive integer, got '" + std::string(digits) + "'");
-  }
-  errno = 0;
-  const unsigned long long value =
-      std::strtoull(std::string(digits).c_str(), nullptr, 10);
-  if (errno != 0) {
-    fail_cadence(var, raw, "value out of range '" + std::string(digits) + "'");
   }
   if (value == 0) {
     fail_cadence(var, raw, "cadence terms must be > 0 (omit the term instead)");
   }
-  return static_cast<std::uint64_t>(value);
+  return value;
 }
 
 }  // namespace
+
+bool parse_count_arg(const char* raw, std::size_t max_value, std::size_t& out) {
+  if (raw == nullptr) return false;
+  // from_chars takes no sign, whitespace or prefix for an unsigned type, so
+  // consuming the whole string means every character was a digit.
+  const char* const end = raw + std::strlen(raw);
+  std::size_t value = 0;
+  const auto [stop, error] = std::from_chars(raw, end, value);
+  if (error != std::errc{} || stop != end || value > max_value) return false;
+  out = value;
+  return true;
+}
 
 CheckpointCadence CheckpointCadence::parse(std::string_view spec, const char* var) {
   CheckpointCadence cadence;
@@ -63,7 +72,7 @@ CheckpointCadence CheckpointCadence::parse(std::string_view spec, const char* va
           term.back() == 'u' ? term.substr(0, term.size() - 1) : term;
       if (saw_units) fail_cadence(var, spec, "more than one unit term");
       saw_units = true;
-      cadence.units = static_cast<std::size_t>(parse_count(digits, var, spec));
+      cadence.units = parse_count(digits, var, spec);
     }
     if (comma == std::string_view::npos) break;
     start = comma + 1;

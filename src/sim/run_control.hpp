@@ -41,6 +41,14 @@ enum class StopReason : std::uint8_t {
 
 [[nodiscard]] const char* to_string(StopReason reason) noexcept;
 
+/// The one strict decimal parse for counts that size allocations, loops or
+/// file names: every character must be a digit, so signs, whitespace,
+/// suffixes ("x4", "4x"), empty strings, overflow and values above
+/// `max_value` all return false.  Returns false instead of throwing so
+/// callers can word their own error.
+[[nodiscard]] bool parse_count_arg(const char* raw, std::size_t max_value,
+                                   std::size_t& out);
+
 /// What to do when a work unit throws under a controlled run: truncate the
 /// sweep at the failing unit (the canonical-prefix default) or skip just that
 /// unit and keep going, accumulating the error.  The throwing run() and
@@ -74,12 +82,12 @@ struct SweepOutcome {
   /// units when more failed (error_count keeps the true total).
   std::vector<UnitError> errors;
   std::size_t error_count = 0;
-  /// Periodic checkpoints persisted by the monitor thread during this run
-  /// (excludes any final checkpoint the driver takes after the run returns).
+  /// Periodic checkpoints persisted during this run by the thread that called
+  /// run() (excludes any final checkpoint the driver takes after it returns).
   std::size_t auto_checkpoints = 0;
   /// Auto-checkpoint attempts that threw (serialize or persist).  A failed
   /// checkpoint never perturbs results -- it only loses durability; the sweep
-  /// keeps going and retries at the next cadence tick.
+  /// keeps going and retries one cadence interval later.
   std::size_t checkpoint_failures = 0;
 
   static constexpr std::size_t kMaxRecordedErrors = 64;

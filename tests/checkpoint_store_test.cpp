@@ -28,6 +28,7 @@
 #include "graph/graph.hpp"
 #include "graph/rng.hpp"
 #include "net/storm_model.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/parallel_sweep.hpp"
 #include "sim/run_control.hpp"
 #include "topo/topologies.hpp"
@@ -483,6 +484,85 @@ TEST(AutoCheckpointTest, FailuresAreCountedNeverFatal) {
 
   // Checkpointing is durability only: the sweep completes, results are
   // intact, the failures are merely counted.
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_EQ(sum, 200ull * 199 / 2);
+  EXPECT_EQ(outcome.auto_checkpoints, 0u);
+  EXPECT_GE(outcome.checkpoint_failures, 1u);
+}
+
+TEST(AutoCheckpointTest, UnitCadenceSealsWhenTheReduceReachesIt) {
+  // A unit cadence falls due on the watermark: the reduce that reaches the
+  // due unit wakes the caller, so one worker running ~20 us units still gets
+  // a generation close to every 50 units (40 at most).  The floor of 30
+  // leaves room for a loaded host; sampling the watermark every 10 ms would
+  // seal about 15.
+  SweepExecutor executor(1);
+  RunControl control;
+  constexpr std::size_t kUnits = 2000;
+  std::uint64_t sum = 0;
+  std::vector<std::size_t> cursors;
+  // Seals run on this thread but count into no sink: a driver's own sink
+  // must see only what the driver does.
+  obs::Counters driver_lane;
+  const obs::ScopedSink driver_sink(&driver_lane);
+  bool hook_saw_sink = false;
+
+  sim::AutoCheckpoint ckpt;
+  ckpt.cadence.units = 50;
+  ckpt.serialize = [&](std::size_t k) {
+    hook_saw_sink |= obs::sink() != nullptr;
+    return std::to_string(k);
+  };
+  ckpt.persist = [&](std::size_t k, std::string&&) {
+    hook_saw_sink |= obs::sink() != nullptr;
+    cursors.push_back(k);
+  };
+
+  const sim::SweepOutcome outcome = executor.run(
+      kUnits,
+      [](std::size_t, sim::WorkerContext&) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      },
+      control, {.reduce = [&](std::size_t unit) { sum += unit; }, .checkpoint = &ckpt});
+
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_EQ(sum, static_cast<std::uint64_t>(kUnits) * (kUnits - 1) / 2);
+  EXPECT_EQ(outcome.checkpoint_failures, 0u);
+  EXPECT_EQ(outcome.auto_checkpoints, cursors.size());
+  EXPECT_GE(cursors.size(), 30u);
+  std::size_t last = 0;
+  for (const std::size_t k : cursors) {
+    EXPECT_GE(k, last + ckpt.cadence.units) << "generation after " << last;
+    last = k;
+  }
+  EXPECT_FALSE(hook_saw_sink);
+#if !defined(PR_OBS_DISABLED)
+  EXPECT_EQ(obs::sink(), &driver_lane);  // restored when run() returns
+#endif
+}
+
+TEST(AutoCheckpointTest, FailingSerializerUnderAUnitCadenceReArms) {
+  // A failed seal re-arms the unit cadence one interval on.  Were the due
+  // trigger left armed, the caller would re-try it forever while holding
+  // the executor lock, and no reduce could run again.
+  SweepExecutor executor(2);
+  RunControl control;
+  std::uint64_t sum = 0;
+
+  sim::AutoCheckpoint ckpt;
+  ckpt.cadence.units = 10;
+  ckpt.serialize = [](std::size_t) -> std::string {
+    throw std::runtime_error("serializer down");
+  };
+  ckpt.persist = [](std::size_t, std::string&&) {};
+
+  const sim::SweepOutcome outcome = executor.run(
+      200,
+      [](std::size_t, sim::WorkerContext&) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+      },
+      control, {.reduce = [&](std::size_t unit) { sum += unit; }, .checkpoint = &ckpt});
+
   EXPECT_TRUE(outcome.complete());
   EXPECT_EQ(sum, 200ull * 199 / 2);
   EXPECT_EQ(outcome.auto_checkpoints, 0u);

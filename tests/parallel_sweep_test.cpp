@@ -168,6 +168,14 @@ TEST(ParseCountArgTest, StrictDecimalWithBound) {
   EXPECT_FALSE(sim::parse_count_arg("x4", 10, out));    // prefix
   EXPECT_FALSE(sim::parse_count_arg("", 10, out));      // empty
   EXPECT_FALSE(sim::parse_count_arg(nullptr, 10, out)); // absent
+  EXPECT_FALSE(sim::parse_count_arg(" 5", 10, out));    // leading space
+  EXPECT_FALSE(sim::parse_count_arg("\t7", 10, out));   // leading tab
+  EXPECT_FALSE(sim::parse_count_arg(" +3", 10, out));   // space, then sign
+  // strtoull skips the space and wraps "-2" to 2^64 - 2, just inside this
+  // bound; a digits-only parse must still refuse it.
+  EXPECT_FALSE(sim::parse_count_arg(" -2", SIZE_MAX - 1, out));
+  EXPECT_FALSE(sim::parse_count_arg("18446744073709551616", SIZE_MAX, out));  // 2^64
+  EXPECT_EQ(out, 10u);  // a refused parse leaves `out` alone
 }
 
 TEST(SweepExecutorTest, RngStreamsDependOnUnitNotThreadCount) {

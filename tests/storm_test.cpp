@@ -71,24 +71,6 @@ TEST(RunOrdered, ReducesEveryUnitOnceInCanonicalOrder) {
   }
 }
 
-TEST(RunOrdered, WindowOneFullySerialisesThePipeline) {
-  // With window == 1 a single slot is enough: unit u+1 may not start until
-  // reduce(u) returned, so the slot is never overwritten early.
-  SweepExecutor executor(8);
-  constexpr std::size_t kUnits = 200;
-  std::uint64_t slot = 0;
-  std::vector<std::uint64_t> reduced;
-  executor.run_ordered(
-      kUnits, [&](std::size_t unit, WorkerContext&) { slot = unit * unit; },
-      [&](std::size_t unit) {
-        EXPECT_EQ(slot, unit * unit);
-        reduced.push_back(slot);
-      },
-      /*seed=*/0, /*window=*/1);
-  ASSERT_EQ(reduced.size(), kUnits);
-  for (std::size_t i = 0; i < kUnits; ++i) EXPECT_EQ(reduced[i], i * i);
-}
-
 TEST(RunOrdered, PerUnitRngStreamsMatchPlainRun) {
   // run_ordered must reseed the worker Rng per unit exactly like run(): the
   // first draw of unit u depends only on (seed, u).

@@ -259,10 +259,11 @@ TEST(SupervisorTest, RestartsAbortingChildUntilConvergence) {
   command.insert(command.end(), child.begin(), child.end());
 
   // Every incarnation aborts 250 units past its resume point.  The 50 ms
-  // stall at unit 200 holds the watermark still long enough for the
-  // checkpoint monitor (10 ms poll) to persist the 200-unit prefix first, so
-  // each crash-loop incarnation banks ~200 units and the sweep must converge
-  // well within the restart budget.
+  // stall at unit 200 holds the watermark still long enough for the 40u
+  // cadence to seal the 200-unit prefix and for its persist (fsync
+  // included) to finish before the abort, so each crash-loop incarnation
+  // banks ~200 units and the sweep must converge well within the restart
+  // budget.
   const std::string log_path = dir.file("supervised.log");
   const int status =
       run_tool(command, log_path,

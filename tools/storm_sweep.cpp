@@ -7,9 +7,10 @@
 //   * a CheckpointStore under --ckpt-dir persists generation files with the
 //     temp + fsync + rename idiom, rotates them past --keep, and quarantines
 //     corrupt ones on load;
-//   * --ckpt-every (or $PR_CKPT_EVERY) arms the executor's monitor-thread
-//     auto-checkpointing, so a SIGKILL'd or aborted run loses at most one
-//     cadence interval of work;
+//   * --ckpt-every (or $PR_CKPT_EVERY) arms the executor's auto-checkpoints,
+//     so a SIGKILL'd or aborted run loses only the scenarios reduced since
+//     the last persisted generation: one cadence interval plus whatever
+//     completed while that generation's persist was in flight;
 //   * a sim::SignalGuard turns SIGINT/SIGTERM into a cooperative drain: the
 //     sweep truncates to its canonical prefix, a final generation is
 //     persisted, and the process exits sim::kInterruptedExitStatus (75) so a
@@ -25,7 +26,6 @@
 //
 //   $ storm_sweep --scenarios 20000 --threads 4 --ckpt-dir /tmp/store
 //                 --ckpt-every 1000u --resume-from-latest
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -57,7 +57,6 @@ namespace {
 using namespace pr;
 
 constexpr double kTotalDemandPps = 1e6;
-constexpr double kBaselineUtilization = 0.6;
 constexpr double kOutageProbability = 0.02;
 
 struct Args {
@@ -140,25 +139,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Same sizing rule as the benches: the busiest pristine SPF interface runs
-/// at the baseline utilization, so the plan is a pure function of the
-/// topology and demand -- a resumed incarnation rebuilds it bit-identically.
-traffic::CapacityPlan size_plan(const graph::Graph& g,
-                                const analysis::ProtocolSuite& suite,
-                                const traffic::TrafficMatrix& demand) {
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> demands;
-  analysis::collect_demand_flows(demand, flows, demands);
-  net::Network network(g);
-  const auto spf = suite.spf().make(network);
-  traffic::LoadMap load;
-  sim::BatchResult batch;
-  sim::route_batch(network, *spf, flows, demands, load, sim::TraceMode::kStats, batch);
-  double peak = 0.0;
-  for (const double v : load.darts()) peak = std::max(peak, v);
-  return traffic::CapacityPlan::uniform(g, peak / kBaselineUtilization);
-}
-
 std::string hex_digest(std::uint64_t digest) {
   std::ostringstream out;
   out << std::hex << digest;
@@ -188,7 +168,8 @@ int main(int argc, char** argv) {
                                                          suite.reconvergence()};
   const traffic::TrafficMatrix demand =
       traffic::gravity_demand(g, kTotalDemandPps, traffic::GravityMass::kDegree);
-  const traffic::CapacityPlan plan = size_plan(g, suite, demand);
+  const traffic::CapacityPlan plan =
+      analysis::baseline_capacity_plan(g, demand, suite.spf());
   const net::SrlgCatalog catalog = net::geographic_srlgs(g, 2);
   const net::IndependentOutages model =
       net::IndependentOutages::uniform(catalog, kOutageProbability);

@@ -32,26 +32,23 @@
 #include <csignal>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "sim/parallel_sweep.hpp"
+#include "analysis/checkpoint_store.hpp"
+#include "sim/run_control.hpp"
 #include "sim/signal_guard.hpp"
 
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 struct Args {
@@ -125,30 +122,17 @@ void forward_signal(int signo) {
   if (child > 0) ::kill(child, signo);
 }
 
-/// Newest generation number in the store directory ("ckpt-<digits>.prckpt"),
-/// 0 when none.  A fresh scan per poll: the supervisor deliberately shares no
-/// state with the child but the filesystem.
+/// Newest generation number in the store directory, 0 when none -- also
+/// before the child has created the directory.  A fresh scan per poll: the
+/// supervisor deliberately shares no state with the child but the filesystem.
 std::uint64_t newest_generation(const std::string& store) {
-  std::uint64_t newest = 0;
-  std::error_code ec;
-  fs::directory_iterator it(store, ec);
-  if (ec) return 0;
-  for (const fs::directory_entry& entry : it) {
-    const std::string name = entry.path().filename().string();
-    constexpr std::string_view prefix = "ckpt-";
-    constexpr std::string_view suffix = ".prckpt";
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    newest = std::max(
-        newest, static_cast<std::uint64_t>(std::strtoull(digits.c_str(), nullptr, 10)));
+  try {
+    const std::vector<std::uint64_t> on_disk =
+        pr::analysis::CheckpointStore::generations(store);
+    return on_disk.empty() ? 0 : on_disk.back();
+  } catch (const pr::analysis::CheckpointStoreError&) {
+    return 0;
   }
-  return newest;
 }
 
 pid_t spawn(const std::vector<std::string>& command) {
